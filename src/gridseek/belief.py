@@ -13,7 +13,9 @@ three per-location quantities built from pairwise particle deviations:
 
 A location may be a single cell index or a set of cell indices (block
 queries); per-location values aggregate by summing squared deviations over
-the set. The batch-level ``marginal_entropy`` follows the printed ranking
+the set. ``score_field`` computes all three for every candidate at once;
+``location_scores`` is its brute-force reference at one location. The
+batch-level ``marginal_entropy`` follows the printed ranking
 surrogate with a positive exponent in the consensus kernel; it grows with
 particle spread and is not a literal mixture entropy.
 """
@@ -31,9 +33,7 @@ __all__ = [
     "BeliefConfig",
     "ScoreField",
     "marginal_entropy",
-    "exploration_score",
-    "likelihood_score",
-    "exploitation_score",
+    "location_scores",
     "entropy_rank_oracle",
     "score_field",
 ]
@@ -125,11 +125,6 @@ class ScoreField:
                 float(combined[i]) if combined is not None else float("nan"),
             )
 
-    def write_csv(self, fh) -> None:
-        fh.write("location,expl,likeli,reward,exploit,combined\n")
-        for loc, e, l, r, x, c in self.csv_rows():
-            fh.write(f"{loc},{e!r},{l!r},{r!r},{x!r},{c!r}\n")
-
 
 def _coords(location, dim: int) -> np.ndarray:
     coords = np.atleast_1d(np.asarray(location, dtype=int))
@@ -138,13 +133,6 @@ def _coords(location, dim: int) -> np.ndarray:
     if coords.min() < 0 or coords.max() >= dim:
         raise IndexError(f"location {location} outside 0..{dim - 1}")
     return coords
-
-
-def _pair_sq(batch: ParticleBatch, location) -> np.ndarray:
-    """Squared deviation summed over the location's cells, per ordered pair."""
-    vals = batch.denoised[:, _coords(location, batch.dim)]
-    diff = vals[:, None, :] - vals[None, :, :]
-    return np.sum(diff * diff, axis=-1)
 
 
 def marginal_entropy(batch: ParticleBatch, cfg: BeliefConfig) -> float:
@@ -160,27 +148,26 @@ def marginal_entropy(batch: ParticleBatch, cfg: BeliefConfig) -> float:
     return float(np.dot(w, inner))
 
 
-def exploration_score(batch: ParticleBatch, location, cfg: BeliefConfig) -> float:
-    """Pairwise disagreement at the location; zero only at full consensus."""
-    return float(np.sum(_pair_sq(batch, location)) / (2.0 * cfg.sigma_x2))
+def location_scores(
+    batch: ParticleBatch, location, cfg: BeliefConfig, reward_fn: Callable | None = None
+) -> tuple[float, float, float]:
+    """Brute-force (exploration, likelihood, exploitation) at one location.
 
-
-def likelihood_score(batch: ParticleBatch, location, cfg: BeliefConfig) -> float:
-    """Pairwise consensus kernel at the location, in (0, n_b^2]."""
-    return float(np.sum(np.exp(-_pair_sq(batch, location) / (2.0 * cfg.sigma_x2))))
-
-
-def exploitation_score(
-    batch: ParticleBatch, location, cfg: BeliefConfig, reward_fn: Callable
-) -> float:
-    """Likelihood score times the summed reward over predicted patches.
-
+    The test reference for ``score_field``: walks the ordered particle pairs
+    one at a time, summing squared deviations over the location's cells.
     ``reward_fn`` receives the (n_b, cells) matrix of predicted contents at
-    the location and returns one probability in [0, 1] per particle.
+    the location and returns one probability in [0, 1] per particle; without
+    it the exploitation score is zero.
     """
     patches = batch.denoised[:, _coords(location, batch.dim)]
-    rewards = np.asarray(reward_fn(patches), dtype=float)
-    return likelihood_score(batch, location, cfg) * float(rewards.sum())
+    expl = likeli = 0.0
+    for a in patches:
+        for b in patches:
+            d = float(np.sum((a - b) ** 2)) / (2.0 * cfg.sigma_x2)
+            expl += d
+            likeli += math.exp(-d)
+    reward = 0.0 if reward_fn is None else float(np.sum(reward_fn(patches)))
+    return expl, likeli, likeli * reward
 
 
 def entropy_rank_oracle(

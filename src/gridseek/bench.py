@@ -24,7 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from gridseek.belief import BeliefConfig, ParticleBatch, marginal_entropy, score_field
+from gridseek.belief import (
+    BeliefConfig,
+    ParticleBatch,
+    ScoreField,
+    marginal_entropy,
+    score_field,
+)
 from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
@@ -61,6 +67,7 @@ __all__ = [
     "ExperimentConfig",
     "StepRecord",
     "EpisodeResult",
+    "choose",
     "run_episode",
     "success_rate",
     "run_suite",
@@ -263,16 +270,20 @@ class ExperimentConfig:
             prior=doc.get("prior"),
         )
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
+    @staticmethod
+    def read_doc(path) -> dict:
+        """A config file's JSON document; a missing or malformed file names the path."""
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
+            return json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(doc)
+
+    @classmethod
+    def from_json(cls, path) -> "ExperimentConfig":
+        return cls.from_dict(cls.read_doc(path))
 
 
 def build_unit_prior(cfg: ExperimentConfig) -> GaussianMixturePrior:
@@ -358,6 +369,24 @@ class EpisodeResult:
         Path(path).write_text(self.trace_csv())
 
 
+def choose(policy: PolicyConfig, state: EpisodeState, batch: ParticleBatch,
+           cell_table: np.ndarray, bcfg: BeliefConfig, reward_fn,
+           rng: np.random.Generator) -> tuple[int, ScoreField]:
+    """One query step: score every candidate, mix, and pick the next location.
+
+    ``cell_table`` is the scene's (n_locations, cells) index table. The
+    returned field carries the kappa-weighted mix in ``combined``, with kappa
+    at the state's spent budget unless the policy pins it.
+    """
+    cands = list(state.candidates)
+    field = score_field(batch, cands, cell_table[cands], bcfg, reward_fn)
+    k = policy.kappa_override
+    if k is None:
+        k = kappa(state.budget, state.t, policy.alpha)
+    field.combined = combined_score(field, k, policy.combine_mode, policy.normalize)
+    return select_from_field(policy, state, field, rng), field
+
+
 def run_episode(cfg: ExperimentConfig, seed: int,
                 field_sink=None) -> EpisodeResult:
     """Play one full episode under the configured policy.
@@ -394,7 +423,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     patch_area = scene.block**2
     net = RewardNet.create([patch_area, *cfg.reward.hidden, 1], reward_seed)
     state = EpisodeState.fresh(scene, cfg.budget)
-    coord_table = scene.all_location_cells()
+    cell_table = scene.all_location_cells()
 
     dim = scene.n_cells
     particles = np.stack([r.standard_normal(dim) for r in particle_rngs])
@@ -411,19 +440,11 @@ def run_episode(cfg: ExperimentConfig, seed: int,
         if tau in schedule_set and state.budget_left > 0 and state.candidates:
             snapshot = ParticleBatch.of(to_unit(x_hat), tau)
             reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
-            cands = list(state.candidates)
-            field_now = score_field(snapshot, cands, coord_table[cands], bcfg,
-                                    reward_fn)
-            kval = cfg.policy.kappa_override
-            if kval is None:
-                kval = kappa(cfg.budget, state.t, cfg.policy.alpha)
-            field_now.combined = combined_score(
-                field_now, kval, cfg.policy.combine_mode, cfg.policy.normalize
-            )
-            location = select_from_field(cfg.policy, state, field_now, policy_rng)
+            location, field_now = choose(cfg.policy, state, snapshot, cell_table,
+                                         bcfg, reward_fn, policy_rng)
             if field_sink is not None:
                 field_sink(state.t, tau, field_now)
-            picked = cands.index(location)
+            picked = field_now.locations.index(location)
             m = measure(scene, location, noise_rng, step=state.t,
                         measured=set(state.log.locations))
             state.apply(m, to_engine(m.content))
@@ -447,16 +468,13 @@ def run_episode(cfg: ExperimentConfig, seed: int,
 
 
 def success_rate(results, B: int) -> float:
-    """Mean over tasks of collected ratio / min(B, targets present)."""
+    """Mean over tasks, all played at budget B, of collected ratio / min(B, targets)."""
     if not results:
         raise ValueError("success_rate needs at least one episode result")
-    terms = []
     for r in results:
-        if r.u == 0:
-            terms.append(1.0)
-        else:
-            terms.append(r.r_total / min(B, r.u))
-    return float(np.mean(terms))
+        if r.budget != B:
+            raise ValueError(f"seed {r.seed} was played at budget {r.budget}, not B={B}")
+    return float(np.mean([r.sr_term for r in results]))
 
 
 def _suite_cell(args):

@@ -12,7 +12,6 @@ validation or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,7 +52,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(path)
     if getattr(args, "policy", None):
         cfg = replace(cfg, policy=replace(cfg.policy, kind=args.policy))
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         cfg = replace(cfg, budget=args.budget)
     cfg.validate()
     return cfg
@@ -69,35 +68,40 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
+def _field_dump(path, step=None):
+    """A ``run_episode`` field sink collecting score-field CSV rows, and its writer.
+
+    With ``step`` set, only that measurement's field is kept.
+    """
+    lines = ["t,tau,location,expl,likeli,reward,exploit,combined"]
+
+    def sink(t, tau, field):
+        if step is None or t == step:
+            lines.extend(f"{t},{tau},{loc},{e!r},{l!r},{r!r},{x!r},{c!r}"
+                         for loc, e, l, r, x, c in field.csv_rows())
+
+    def write():
+        Path(path).write_text("\n".join(lines) + "\n")
+        _log(f"score fields -> {path}")
+
+    return sink, write
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args)
-    sink = None
-    dump_rows: list[str] = []
-    if args.trace:
-        def sink(t, tau, field):
-            for loc, e, l, r, x, c in field.csv_rows():
-                dump_rows.append(f"{t},{tau},{loc},{e!r},{l!r},{r!r},{x!r},{c!r}")
-
+    sink, write_fields = _field_dump(args.trace) if args.trace else (None, None)
     _log(f"running episode seed={args.seed} policy={cfg.policy.kind}")
     result = run_episode(cfg, args.seed, field_sink=sink)
     result.write_trace(args.out)
     _log(f"collected {result.r_total:.4f} over {len(result.records)} measurements "
          f"(st={result.sr_term:.4f}) -> {args.out}")
-    if args.trace:
-        header = "t,tau,location,expl,likeli,reward,exploit,combined"
-        Path(args.trace).write_text("\n".join([header, *dump_rows]) + "\n")
-        _log(f"score fields -> {args.trace}")
+    if write_fields is not None:
+        write_fields()
     return 0
 
 
 def _cmd_suite(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    doc = ExperimentConfig.read_doc(args.config)
     policies = doc.pop("policies", None)
     budgets = doc.pop("budgets", None)
     cfg = ExperimentConfig.from_dict(doc)
@@ -115,19 +119,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_scores(args) -> int:
     cfg = _load_config(args.config, args)
-    rows: list[str] = []
-
-    def sink(t, tau, field):
-        if args.step is not None and t != args.step:
-            return
-        for loc, e, l, r, x, c in field.csv_rows():
-            rows.append(f"{t},{tau},{loc},{e!r},{l!r},{r!r},{x!r},{c!r}")
-
+    sink, write_fields = _field_dump(args.out, args.step)
     _log(f"running episode seed={args.seed} for score-field dump")
     run_episode(cfg, args.seed, field_sink=sink)
-    header = "t,tau,location,expl,likeli,reward,exploit,combined"
-    Path(args.out).write_text("\n".join([header, *rows]) + "\n")
-    _log(f"score fields -> {args.out}")
+    write_fields()
     return 0
 
 

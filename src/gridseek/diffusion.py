@@ -242,15 +242,16 @@ class GuidanceConfig:
 class MeasurementLog:
     """Ordered record of queried locations and their revealed contents.
 
-    ``cell_indices``/``cell_values`` are flat per-cell entries in whatever
-    value space the sampler runs in; callers feeding the guidance step are
-    responsible for mapping revealed contents into that space. ``y_values``
-    keeps the noiseless target ratio of each query for bookkeeping.
+    ``indices``/``values`` are flat per-cell arrays, grown by each ``add``, in
+    whatever value space the sampler runs in; callers feeding the guidance
+    step are responsible for mapping revealed contents into that space.
+    ``y_values`` keeps the noiseless target ratio of each query for
+    bookkeeping.
     """
 
     locations: list = field(default_factory=list)
-    cell_indices: list = field(default_factory=list)
-    cell_values: list = field(default_factory=list)
+    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     y_values: list = field(default_factory=list)
 
     def add(self, location, indices, values, y: float) -> None:
@@ -259,20 +260,12 @@ class MeasurementLog:
         if indices.shape != values.shape:
             raise ValueError("indices and values must align")
         self.locations.append(location)
-        self.cell_indices.extend(indices.tolist())
-        self.cell_values.extend(values.tolist())
+        self.indices = np.concatenate((self.indices, indices))
+        self.values = np.concatenate((self.values, values))
         self.y_values.append(float(y))
 
     def __len__(self) -> int:
         return len(self.locations)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.asarray(self.cell_indices, dtype=int)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.cell_values, dtype=float)
 
 
 def _marginal_params(tau: int, prior: GaussianMixturePrior, sched: NoiseSchedule):
@@ -285,23 +278,33 @@ def _marginal_params(tau: int, prior: GaussianMixturePrior, sched: NoiseSchedule
 
 
 def _component_log_terms(x: np.ndarray, tau, prior, sched):
-    """log w_k + log N(x; m_k, s_k I) for each component, shape (..., K)."""
+    """log w_k + log N(x; m_k, s_k I), shape (..., K), and the m_k and s_k used."""
     means, variances = _marginal_params(tau, prior, sched)
     diff = x[..., None, :] - means  # (..., K, N)
     sq = np.sum(diff * diff, axis=-1)  # (..., K)
     n = prior.dimension
-    return (
+    terms = (
         np.log(prior.weights)
         - 0.5 * n * np.log(2.0 * math.pi * variances)
         - 0.5 * sq / variances
     )
+    return terms, means, variances
+
+
+def _responsibilities(x: np.ndarray, tau, prior, sched):
+    """Posterior weights (..., K), pulls (m_k - x) / s_k (..., K, N), variances s_k."""
+    terms, means, variances = _component_log_terms(x, tau, prior, sched)
+    resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
+    resp /= resp.sum(axis=-1, keepdims=True)
+    pull = (means - x[..., None, :]) / variances[:, None]
+    return resp, pull, variances
 
 
 def gmm_log_density(x, tau: int, prior: GaussianMixturePrior,
                     sched: NoiseSchedule) -> np.ndarray:
     """Log-density of the step-tau marginal, stabilized through log-sum-exp."""
     x = _check_state(x, prior)
-    terms = _component_log_terms(x, tau, prior, sched)
+    terms, _, _ = _component_log_terms(x, tau, prior, sched)
     m = terms.max(axis=-1, keepdims=True)
     return np.squeeze(m, -1) + np.log(np.sum(np.exp(terms - m), axis=-1))
 
@@ -316,12 +319,7 @@ def gmm_score(x, tau: int, prior: GaussianMixturePrior,
     Broadcasts over leading axes of ``x``.
     """
     x = _check_state(x, prior)
-    means, variances = _marginal_params(tau, prior, sched)
-    terms = _component_log_terms(x, tau, prior, sched)
-    m = terms.max(axis=-1, keepdims=True)
-    resp = np.exp(terms - m)
-    resp /= resp.sum(axis=-1, keepdims=True)  # (..., K)
-    pull = (means - x[..., None, :]) / variances[:, None]  # (..., K, N)
+    resp, pull, _ = _responsibilities(x, tau, prior, sched)
     return np.sum(resp[..., None] * pull, axis=-2)
 
 
@@ -334,12 +332,7 @@ def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
     x = _check_state(x, prior)
     if x.ndim != 1:
         raise ValueError("hessian expects a single state vector")
-    means, variances = _marginal_params(tau, prior, sched)
-    terms = _component_log_terms(x, tau, prior, sched)
-    m = terms.max()
-    resp = np.exp(terms - m)
-    resp /= resp.sum()
-    pull = (means - x) / variances[:, None]  # (K, N)
+    resp, pull, variances = _responsibilities(x, tau, prior, sched)
     score = resp @ pull
     n = prior.dimension
     hess = -np.eye(n) * float(np.sum(resp / variances))
@@ -422,12 +415,8 @@ def guidance_step(
     else:
         if hessian_fn is None:
             raise ValueError("exact guidance requires a hessian_fn")
-        if x_tau.ndim == 1:
-            jac = (np.eye(n) + (1.0 - abar) * hessian_fn(x_tau, tau)) / math.sqrt(abar)
-            grad = 2.0 * (jac @ residual)
-        else:
-            grad = np.empty_like(x_tau)
-            for i in range(x_tau.shape[0]):
-                jac = (np.eye(n) + (1.0 - abar) * hessian_fn(x_tau[i], tau)) / math.sqrt(abar)
-                grad[i] = 2.0 * (jac @ residual[i])
+        grad = np.empty_like(x_tau)
+        for i in np.ndindex(x_tau.shape[:-1]):  # one state vector at a time
+            jac = (np.eye(n) + (1.0 - abar) * hessian_fn(x_tau[i], tau)) / math.sqrt(abar)
+            grad[i] = 2.0 * (jac @ residual[i])
     return x_prime - cfg.zeta * grad

@@ -64,8 +64,14 @@ class Scene:
             raise ValueError("grid and y must hold rows*cols cells")
         if np.any(self.y < 0.0) or np.any(self.y > 1.0):
             raise ValueError("target ratios must lie in [0, 1]")
-        if self.block < 1 or rows % self.block or cols % self.block:
+        b = self.block
+        if b < 1 or rows % b or cols % b:
             raise ValueError(f"block {self.block} must evenly divide {self.shape}")
+        # Row-major cells of each location, locations row-major; read-only.
+        cells = np.arange(rows * cols).reshape(rows // b, b, cols // b, b)
+        cells = cells.transpose(0, 2, 1, 3).reshape(-1, b * b)
+        cells.flags.writeable = False
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def n_cells(self) -> int:
@@ -73,8 +79,7 @@ class Scene:
 
     @property
     def n_locations(self) -> int:
-        rows, cols = self.shape
-        return (rows // self.block) * (cols // self.block)
+        return len(self._cells)
 
     @property
     def location_shape(self) -> tuple[int, int]:
@@ -82,19 +87,14 @@ class Scene:
         return rows // self.block, cols // self.block
 
     def location_cells(self, location: int) -> np.ndarray:
-        """Flat cell indices covered by a query location, row-major."""
+        """Flat cell indices covered by a query location, row-major (read-only)."""
         if not 0 <= location < self.n_locations:
             raise IndexError(f"location {location} outside 0..{self.n_locations - 1}")
-        b = self.block
-        _, cols = self.shape
-        loc_cols = cols // b
-        r0, c0 = (location // loc_cols) * b, (location % loc_cols) * b
-        rr, cc = np.meshgrid(np.arange(r0, r0 + b), np.arange(c0, c0 + b), indexing="ij")
-        return (rr * cols + cc).ravel()
+        return self._cells[location]
 
     def all_location_cells(self) -> np.ndarray:
-        """(n_locations, block^2) cell-index table for every query location."""
-        return np.stack([self.location_cells(q) for q in range(self.n_locations)])
+        """Read-only (n_locations, block^2) cell-index table of every location."""
+        return self._cells
 
     def location_y(self, location: int) -> float:
         return float(self.y[self.location_cells(location)].mean())
@@ -216,6 +216,12 @@ def _target_path(path: Path) -> Path:
     return path.with_suffix(".target.csv")
 
 
+def _require_finite(path: Path, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise SceneFormatError(f"{path}: non-finite cell values")
+    return values
+
+
 def _read_csv_grid(path: Path) -> np.ndarray:
     try:
         rows = [
@@ -227,7 +233,7 @@ def _read_csv_grid(path: Path) -> np.ndarray:
         raise SceneFormatError(f"{path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise SceneFormatError(f"{path}: ragged or empty grid")
-    return np.asarray(rows, dtype=float)
+    return _require_finite(path, np.asarray(rows, dtype=float))
 
 
 def _read_pgm(path: Path) -> np.ndarray:
@@ -255,7 +261,7 @@ def _read_pgm(path: Path) -> np.ndarray:
         raise SceneFormatError(f"{path}: unsupported magic {magic!r}")
     if values.size != width * height:
         raise SceneFormatError(f"{path}: expected {width * height} pixels")
-    return (values / maxval).reshape(height, width)
+    return _require_finite(path, (values / maxval).reshape(height, width))
 
 
 def load_scene(

@@ -26,10 +26,10 @@ from typing import Iterable
 
 import numpy as np
 
-from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField, score_field
+from gridseek.belief import ScoreField
 from gridseek.diffusion import MeasurementLog
 from gridseek.env import Measurement, Scene
-from gridseek.reward import LabeledPatch, RewardNet, predict
+from gridseek.reward import LabeledPatch
 
 __all__ = [
     "POLICY_KINDS",
@@ -37,7 +37,6 @@ __all__ = [
     "EpisodeState",
     "kappa",
     "combined_score",
-    "select",
     "select_from_field",
     "build_measurement_schedule",
 ]
@@ -181,7 +180,10 @@ def select_from_field(
     field: ScoreField | None,
     rng: np.random.Generator,
 ) -> int:
-    """Pick the next location given precomputed scores over the candidates."""
+    """Pick the next location given precomputed scores over the candidates.
+
+    ``diffatd`` reads the kappa mix that ``bench.choose`` left in ``field.combined``.
+    """
     cands = state.candidates
     if not cands:
         raise ExhaustedCandidatesError("candidate set is empty")
@@ -204,41 +206,11 @@ def select_from_field(
         values = field.exploration
     elif cfg.kind == "greedy_adaptive":
         values = field.exploitation
-    else:  # diffatd
-        k = cfg.kappa_override
-        if k is None:
-            k = kappa(state.budget, state.t, cfg.alpha)
-        values = combined_score(field, k, cfg.combine_mode, cfg.normalize)
+    elif field.combined is None:
+        raise ValueError("diffatd needs the field's combined score")
+    else:
+        values = field.combined
     return cands[_argmax_with_ties(values, cfg.tie_break, rng)]
-
-
-def select(
-    cfg: PolicyConfig,
-    state: EpisodeState,
-    batch: ParticleBatch | None,
-    belief_cfg: BeliefConfig,
-    reward_net: RewardNet | None,
-    rng: np.random.Generator,
-) -> int:
-    """Pick the next measurement location for any policy kind.
-
-    Informed policies score the candidates from the particle batch (and the
-    reward net, where exploitation is involved); bandit and random policies
-    ignore both.
-    """
-    field = None
-    if cfg.kind in ("diffatd", "max_ent", "greedy_adaptive"):
-        if batch is None:
-            raise ValueError(f"policy {cfg.kind!r} needs a particle batch")
-        coord_sets = np.stack(
-            [state.scene.location_cells(q) for q in state.candidates]
-        )
-        reward_fn = None
-        if reward_net is not None:
-            reward_fn = lambda patches: predict(reward_net, np.clip(patches, 0.0, 1.0))
-        field = score_field(batch, list(state.candidates), coord_sets,
-                            belief_cfg, reward_fn)
-    return select_from_field(cfg, state, field, rng)
 
 
 def build_measurement_schedule(T: int, B: int) -> frozenset[int]:

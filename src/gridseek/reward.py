@@ -129,6 +129,11 @@ def _forward(net: RewardNet, X: np.ndarray):
     return pres, acts
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated on the side of zero where exp cannot overflow."""
+    return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+
+
 def _as_matrix(net: RewardNet, patch) -> tuple[np.ndarray, bool]:
     X = np.asarray(patch, dtype=float)
     single = X.ndim == 1
@@ -147,23 +152,15 @@ def predict(net: RewardNet, patch):
     Accepts one flattened patch or a (n, patch_area) matrix.
     """
     X, single = _as_matrix(net, patch)
-    logits = _forward(net, X)[0][-1][:, 0]
-    probs = np.where(
-        logits >= 0.0,
-        1.0 / (1.0 + np.exp(-logits)),
-        np.exp(logits) / (1.0 + np.exp(logits)),
-    )
+    probs = _sigmoid(_forward(net, X)[0][-1][:, 0])
     return float(probs[0]) if single else probs
 
 
 def _stack(net: RewardNet, dataset):
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
-    X = np.stack([np.asarray(p.patch, dtype=float) for p in dataset])
-    y = np.array([p.label for p in dataset], dtype=float)
-    if X.shape[1] != net.sizes[0]:
-        raise ValueError("patch dimension does not match net input")
-    return X, y
+    X, _ = _as_matrix(net, np.stack([p.patch for p in dataset]))
+    return X, np.array([p.label for p in dataset], dtype=float)
 
 
 def bce_loss(net: RewardNet, dataset) -> float:
@@ -180,10 +177,7 @@ def bce_loss(net: RewardNet, dataset) -> float:
 def _gradients(net: RewardNet, X: np.ndarray, y: np.ndarray):
     pres, acts = _forward(net, X)
     z = pres[-1][:, 0]
-    sig = np.where(
-        z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z))
-    )
-    delta = (sig - y)[:, None]  # dL/dz, summed loss
+    delta = (_sigmoid(z) - y)[:, None]  # dL/dz, summed loss
     grads_w, grads_b = [None] * len(net.weights), [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
         grads_w[i] = acts[i].T @ delta

@@ -13,32 +13,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridseek.belief import (
-    BeliefConfig,
-    ParticleBatch,
-    entropy_rank_oracle,
-    exploration_score,
-)
 from gridseek.bench import (
     EpisodeResult,
     default_benchmark_config,
     run_episode,
     success_rate,
 )
-from gridseek.diffusion import (
-    GaussianMixturePrior,
-    gmm_log_density,
-    gmm_score,
-    make_schedule,
-    tweedie_denoise,
-)
 from gridseek.policy import kappa
-from gridseek.reward import (
-    LabeledPatch,
-    RewardNet,
-    deep_layout,
-    default_layout,
-    grad_check,
+from gridseek.validate import (
+    check_entropy_ranking,
+    check_reward_gradients,
+    check_score_fd,
+    check_tweedie,
 )
 
 
@@ -48,107 +34,32 @@ def report(criterion, ok, detail, elapsed=None):
     assert ok, f"{criterion}: {detail}"
 
 
-# ------------------------------------------------------------- criterion 1
+def oracle_criterion(criterion, check, seed, time_bound_s):
+    """Run one of the ``gridseek validate`` suites at the criterion's seed."""
+    start = time.perf_counter()
+    ok, detail = check(seed)
+    elapsed = time.perf_counter() - start
+    report(criterion, ok and elapsed < time_bound_s, detail, elapsed)
 
 
 def test_criterion_1_tweedie_oracle():
-    start = time.perf_counter()
-    rng = np.random.default_rng(101)
-    sched = make_schedule(1000)
-    worst = 0.0
-    for _ in range(50):
-        mu = float(rng.normal())
-        v = float(rng.uniform(0.05, 2.0))
-        tau = int(rng.integers(1, 1001))
-        x = rng.normal(size=1)
-        prior = GaussianMixturePrior.single([mu], v)
-        abar = sched.alpha_bar[tau - 1]
-        s = abar * v + (1.0 - abar)
-        closed_form = (math.sqrt(abar) * v * x + (1.0 - abar) * mu) / s
-        got = tweedie_denoise(x, tau, lambda a, b: gmm_score(a, b, prior, sched), sched)
-        worst = max(worst, float(abs(got[0] - closed_form[0])))
-    elapsed = time.perf_counter() - start
-    report("criterion 1 (tweedie posterior-mean oracle)",
-           worst < 1e-9 and elapsed < 1.0,
-           f"max abs err {worst:.2e} < 1e-9 over 50 pairs", elapsed)
-
-
-# ------------------------------------------------------------- criterion 2
+    oracle_criterion("criterion 1 (tweedie posterior-mean oracle, 50 pairs)",
+                     check_tweedie, 101, 1.0)
 
 
 def test_criterion_2_score_fidelity():
-    start = time.perf_counter()
-    rng = np.random.default_rng(102)
-    sched = make_schedule(200)
-    h = 1e-5
-    worst = 0.0
-    for _ in range(100):
-        dim = int(rng.integers(1, 9))
-        k = int(rng.integers(1, 6))
-        w = rng.uniform(0.2, 1.0, k)
-        w /= w.sum()
-        prior = GaussianMixturePrior(
-            w, rng.normal(0.0, 2.0, (k, dim)), rng.uniform(0.05, 1.5, k)
-        )
-        x = rng.normal(0.0, 1.5, dim)
-        tau = int(rng.integers(1, 201))
-        an = gmm_score(x, tau, prior, sched)
-        fd = np.empty(dim)
-        for i in range(dim):
-            e = np.zeros(dim)
-            e[i] = h
-            fd[i] = (
-                gmm_log_density(x + e, tau, prior, sched)
-                - gmm_log_density(x - e, tau, prior, sched)
-            ) / (2.0 * h)
-        worst = max(worst, float(np.linalg.norm(fd - an) / max(np.linalg.norm(an), 1e-6)))
-    elapsed = time.perf_counter() - start
-    report("criterion 2 (score vs finite differences)",
-           worst < 1e-6 and elapsed < 5.0,
-           f"max rel err {worst:.2e} < 1e-6 over 100 points", elapsed)
-
-
-# ------------------------------------------------------------- criterion 3
+    oracle_criterion("criterion 2 (score vs finite differences, 100 points)",
+                     check_score_fd, 102, 5.0)
 
 
 def test_criterion_3_entropy_ranking_equivalence():
-    start = time.perf_counter()
-    rng = np.random.default_rng(103)
-    cfg = BeliefConfig()
-    agreed = 0
-    for _ in range(200):
-        n_b = int(rng.integers(2, 5))
-        n_loc = int(rng.integers(2, 17))
-        batch = ParticleBatch.of(rng.normal(size=(n_b, n_loc)))
-        cands = list(range(n_loc))
-        _, vals = entropy_rank_oracle(batch, cands, cfg, return_values=True)
-        expl = np.array([exploration_score(batch, q, cfg) for q in cands])
-        tied = set(np.flatnonzero(vals >= vals.max() - 1e-9))
-        agreed += int(np.argmax(expl)) in tied
-    elapsed = time.perf_counter() - start
-    report("criterion 3 (exploration argmax in oracle tied set)",
-           agreed == 200 and elapsed < 10.0,
-           f"{agreed}/200 instances agree", elapsed)
-
-
-# ------------------------------------------------------------- criterion 4
+    oracle_criterion("criterion 3 (exploration argmax in oracle tied set)",
+                     check_entropy_ranking, 103, 10.0)
 
 
 def test_criterion_4_reward_gradients():
-    start = time.perf_counter()
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for layout in (default_layout(4), deep_layout(4)):
-        net = RewardNet.create(layout, seed=104)
-        data = [
-            LabeledPatch(rng.uniform(0, 1, 4), float(rng.integers(0, 2)))
-            for _ in range(6)
-        ]
-        worst = max(worst, grad_check(net, data))
-    elapsed = time.perf_counter() - start
-    report("criterion 4 (reward gradient check, default + deep preset)",
-           worst < 1e-4 and elapsed < 5.0,
-           f"max rel err {worst:.2e} < 1e-4", elapsed)
+    oracle_criterion("criterion 4 (reward gradient check, default + deep preset)",
+                     check_reward_gradients, 104, 5.0)
 
 
 # ------------------------------------------------------------- criterion 5

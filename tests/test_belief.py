@@ -12,9 +12,7 @@ from gridseek.belief import (
     ScoreField,
     SizeLimitError,
     entropy_rank_oracle,
-    exploitation_score,
-    exploration_score,
-    likelihood_score,
+    location_scores,
     marginal_entropy,
     score_field,
 )
@@ -24,6 +22,18 @@ CFG = BeliefConfig()
 
 def batch_of(values) -> ParticleBatch:
     return ParticleBatch.of(np.asarray(values, dtype=float))
+
+
+def expl(b, loc):
+    return location_scores(b, loc, CFG)[0]
+
+
+def likeli(b, loc):
+    return location_scores(b, loc, CFG)[1]
+
+
+def exploit(b, loc, reward_fn):
+    return location_scores(b, loc, CFG, reward_fn)[2]
 
 
 # ----------------------------------------------------------- marginal entropy
@@ -60,19 +70,19 @@ def test_entropy_respects_nonuniform_weights():
 
 def test_exploration_zero_at_consensus():
     b = batch_of([[0.4], [0.4]])
-    assert exploration_score(b, 0, CFG) == 0.0
+    assert expl(b, 0) == 0.0
 
 
 def test_exploration_two_particles_hand_enumeration():
     b = batch_of([[0.0], [1.0]])
     # ordered pairs (1,2) and (2,1), each contributing 1/2
-    assert exploration_score(b, 0, CFG) == pytest.approx(1.0)
+    assert expl(b, 0) == pytest.approx(1.0)
 
 
 def test_exploration_three_particles_brute_force():
     b = batch_of([[0.0], [0.0], [3.0]])
     # four non-zero ordered pairs, each 9/2
-    assert exploration_score(b, 0, CFG) == pytest.approx(18.0)
+    assert expl(b, 0) == pytest.approx(18.0)
 
 
 def brute_pair_sum(values, loc, s2=1.0):
@@ -89,13 +99,13 @@ def test_exploration_matches_brute_force_random():
     b = batch_of(vals)
     for loc in range(6):
         expected = brute_pair_sum(vals[:, :, None], loc)
-        assert exploration_score(b, loc, CFG) == pytest.approx(expected)
+        assert expl(b, loc) == pytest.approx(expected)
 
 
 def test_exploration_out_of_range():
     b = batch_of([[0.0], [1.0]])
     with pytest.raises(IndexError):
-        exploration_score(b, 3, CFG)
+        expl(b, 3)
 
 
 # ---------------------------------------------------------- likelihood score
@@ -103,17 +113,17 @@ def test_exploration_out_of_range():
 
 def test_likelihood_consensus_maximum():
     b = batch_of([[0.2], [0.2]])
-    assert likelihood_score(b, 0, CFG) == pytest.approx(4.0)
+    assert likeli(b, 0) == pytest.approx(4.0)
 
 
 def test_likelihood_two_particles_hand_value():
     b = batch_of([[0.0], [1.0]])
-    assert likelihood_score(b, 0, CFG) == pytest.approx(2.0 + 2.0 * math.exp(-0.5))
+    assert likeli(b, 0) == pytest.approx(2.0 + 2.0 * math.exp(-0.5))
 
 
 def test_likelihood_limit_is_batch_size():
     b = batch_of([[0.0], [1e4], [-1e4]])
-    assert likelihood_score(b, 0, CFG) == pytest.approx(3.0)
+    assert likeli(b, 0) == pytest.approx(3.0)
 
 
 def test_likelihood_bounds():
@@ -121,7 +131,7 @@ def test_likelihood_bounds():
     for _ in range(50):
         n_b = int(rng.integers(2, 6))
         b = batch_of(rng.normal(size=(n_b, 3)))
-        v = likelihood_score(b, 1, CFG)
+        v = likeli(b, 1)
         assert 0.0 < v <= n_b * n_b + 1e-12
 
 
@@ -131,14 +141,14 @@ def test_likelihood_bounds():
 def test_exploitation_zero_reward():
     b = batch_of([[0.0, 1.0], [1.0, 0.0]])
     zero = lambda patches: np.zeros(patches.shape[0])
-    assert exploitation_score(b, 0, CFG, zero) == 0.0
-    assert exploitation_score(b, 1, CFG, zero) == 0.0
+    assert exploit(b, 0, zero) == 0.0
+    assert exploit(b, 1, zero) == 0.0
 
 
 def test_exploitation_consensus_argmax_follows_reward():
     b = batch_of([[0.1, 0.9], [0.1, 0.9]])
     reward = lambda patches: np.where(patches[:, 0] > 0.5, 0.9, 0.2)
-    scores = [exploitation_score(b, q, CFG, reward) for q in (0, 1)]
+    scores = [exploit(b, q, reward) for q in (0, 1)]
     assert int(np.argmax(scores)) == 1
     # the likelihood factor is the constant n_b^2 at consensus
     assert scores[1] == pytest.approx(4.0 * 2 * 0.9)
@@ -148,7 +158,7 @@ def test_exploitation_hand_composition():
     b = batch_of([[0.0], [1.0]])
     half = lambda patches: np.full(patches.shape[0], 0.5)
     expected = (2.0 + 2.0 * math.exp(-0.5)) * 1.0
-    assert exploitation_score(b, 0, CFG, half) == pytest.approx(expected)
+    assert exploit(b, 0, half) == pytest.approx(expected)
 
 
 # -------------------------------------------------------------- block queries
@@ -157,8 +167,8 @@ def test_exploitation_hand_composition():
 def test_block_location_sums_squared_deviations():
     b = batch_of([[0.0, 0.0, 5.0], [1.0, 2.0, 5.0]])
     # block over cells {0, 1}: dev^2 = 1 + 4, two ordered pairs
-    assert exploration_score(b, [0, 1], CFG) == pytest.approx(2 * 5.0 / 2.0)
-    assert likelihood_score(b, [0, 1], CFG) == pytest.approx(
+    assert expl(b, [0, 1]) == pytest.approx(2 * 5.0 / 2.0)
+    assert likeli(b, [0, 1]) == pytest.approx(
         2.0 + 2.0 * math.exp(-2.5)
     )
 
@@ -181,12 +191,8 @@ def test_scores_permutation_invariant(vals, pyrandom):
     pyrandom.shuffle(order)
     shuffled = batch_of(vals[order])
     for loc in range(b.dim):
-        assert exploration_score(b, loc, CFG) == pytest.approx(
-            exploration_score(shuffled, loc, CFG)
-        )
-        assert likelihood_score(b, loc, CFG) == pytest.approx(
-            likelihood_score(shuffled, loc, CFG)
-        )
+        assert expl(b, loc) == pytest.approx(expl(shuffled, loc))
+        assert likeli(b, loc) == pytest.approx(likeli(shuffled, loc))
     assert marginal_entropy(b, CFG) == pytest.approx(marginal_entropy(shuffled, CFG))
 
 
@@ -197,12 +203,8 @@ def test_scores_shift_invariant(vals, c):
     shifted_vals = vals.copy()
     shifted_vals[:, 0] += c
     shifted = batch_of(shifted_vals)
-    assert exploration_score(b, 0, CFG) == pytest.approx(
-        exploration_score(shifted, 0, CFG), abs=1e-9
-    )
-    assert likelihood_score(b, 0, CFG) == pytest.approx(
-        likelihood_score(shifted, 0, CFG), abs=1e-9
-    )
+    assert expl(b, 0) == pytest.approx(expl(shifted, 0), abs=1e-9)
+    assert likeli(b, 0) == pytest.approx(likeli(shifted, 0), abs=1e-9)
 
 
 moderate_batches = arrays(
@@ -221,10 +223,10 @@ def test_spread_monotonicity(vals, c):
     center = vals.mean(axis=0, keepdims=True)
     widened = batch_of(center + (vals - center) * c)
     for loc in range(b.dim):
-        base = exploration_score(b, loc, CFG)
+        base = expl(b, loc)
         if base > 1e-9:  # skip consensus locations
-            assert exploration_score(widened, loc, CFG) > base
-            assert likelihood_score(widened, loc, CFG) < likelihood_score(b, loc, CFG)
+            assert expl(widened, loc) > base
+            assert likeli(widened, loc) < likeli(b, loc)
 
 
 # ------------------------------------------------------------------- oracle
@@ -243,9 +245,9 @@ def test_oracle_equivalence_200_random_instances():
         b = batch_of(rng.normal(size=(n_b, n_loc)))
         cands = list(range(n_loc))
         _, oracle_vals = entropy_rank_oracle(b, cands, CFG, return_values=True)
-        expl = np.array([exploration_score(b, q, CFG) for q in cands])
+        scores = np.array([expl(b, q) for q in cands])
         tied = set(np.flatnonzero(oracle_vals >= oracle_vals.max() - 1e-9))
-        assert int(np.argmax(expl)) in tied
+        assert int(np.argmax(scores)) in tied
 
 
 def test_oracle_tie_semantics():
@@ -253,8 +255,8 @@ def test_oracle_tie_semantics():
     _, vals = entropy_rank_oracle(b, [0, 1, 2], CFG, return_values=True)
     tied = set(np.flatnonzero(vals >= vals.max() - 1e-12))
     assert tied == {0, 1}
-    expl = [exploration_score(b, q, CFG) for q in (0, 1, 2)]
-    assert int(np.argmax(expl)) in tied
+    scores = [expl(b, q) for q in (0, 1, 2)]
+    assert int(np.argmax(scores)) in tied
 
 
 def test_oracle_size_guard():
@@ -272,12 +274,16 @@ def test_theorem3_consensus_exploit_argmax_equals_reward_argmax():
         row = rng.uniform(0.0, 1.0, 8)
         b = batch_of(np.tile(row, (3, 1)))
         reward = lambda patches: 1.0 / (1.0 + np.exp(-3.0 * (patches[:, 0] - 0.5)))
-        exploit = [exploitation_score(b, q, CFG, reward) for q in range(8)]
+        scores = [exploit(b, q, reward) for q in range(8)]
         per_loc_reward = reward(row[:, None])
-        assert int(np.argmax(exploit)) == int(np.argmax(per_loc_reward))
+        assert int(np.argmax(scores)) == int(np.argmax(per_loc_reward))
 
 
 # ------------------------------------------------------------- score fields
+
+
+def field_rows(field):
+    return list(zip(field.exploration, field.likelihood, field.exploitation))
 
 
 def test_score_field_matches_scalar_ops():
@@ -288,12 +294,8 @@ def test_score_field_matches_scalar_ops():
     cands = list(range(5))
     coords = np.arange(5)[:, None]
     field = score_field(b, cands, coords, CFG, reward)
-    for i, q in enumerate(cands):
-        assert field.exploration[i] == pytest.approx(exploration_score(b, q, CFG))
-        assert field.likelihood[i] == pytest.approx(likelihood_score(b, q, CFG))
-        assert field.exploitation[i] == pytest.approx(
-            exploitation_score(b, q, CFG, reward)
-        )
+    for q, row in zip(cands, field_rows(field)):
+        assert row == pytest.approx(location_scores(b, q, CFG, reward))
 
 
 def test_score_field_block_coords():
@@ -302,21 +304,37 @@ def test_score_field_block_coords():
     b = batch_of(vals)
     coords = np.array([[0, 1], [2, 3]])
     field = score_field(b, [0, 1], coords, CFG)
-    assert field.exploration[0] == pytest.approx(exploration_score(b, [0, 1], CFG))
+    assert field.exploration[0] == pytest.approx(expl(b, [0, 1]))
     assert field.exploitation[0] == 0.0  # no reward_fn
+    reward = lambda patches: patches.mean(axis=1) ** 2
+    field = score_field(b, [0, 1], coords, CFG, reward)
+    for cells, row in zip(coords, field_rows(field)):
+        assert row == pytest.approx(location_scores(b, cells, CFG, reward))
 
 
-def test_score_field_csv_export(tmp_path):
+@settings(max_examples=40, deadline=None)
+@given(moderate_batches, st.integers(1, 3))
+def test_score_field_matches_location_scores(vals, width):
+    # contiguous blocks of `width` cells, wrapping around the state
+    b = batch_of(vals)
+    coords = (np.arange(b.dim)[:, None] + np.arange(width)) % b.dim
+    reward = lambda patches: 1.0 / (1.0 + np.exp(-patches.sum(axis=1)))
+    field = score_field(b, list(range(b.dim)), coords, CFG, reward)
+    for cells, row in zip(coords, field_rows(field)):
+        assert row == pytest.approx(location_scores(b, cells, CFG, reward),
+                                    rel=1e-9, abs=1e-12)
+
+
+def test_score_field_csv_export():
     b = batch_of([[0.0, 1.0], [1.0, 0.0]])
     field = score_field(b, [0, 1], np.arange(2)[:, None], CFG)
+    rows = list(field.csv_rows())
+    assert [len(r) for r in rows] == [6, 6]  # location, expl, likeli, reward, exploit, combined
+    assert rows[0][0] == 0 and math.isnan(rows[0][5])
     field.combined = np.array([0.25, 0.75])
-    out = tmp_path / "field.csv"
-    with open(out, "w") as fh:
-        field.write_csv(fh)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "location,expl,likeli,reward,exploit,combined"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,")
+    rows = list(field.csv_rows())
+    assert [r[5] for r in rows] == [0.25, 0.75]
+    assert rows[1][1:5] == (field.exploration[1], field.likelihood[1], 0.0, 0.0)
 
 
 def test_batch_validation():

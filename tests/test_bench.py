@@ -97,7 +97,20 @@ def test_sr_bounds_random_runs():
         ys = rng.uniform(0, 1, budget)
         ys = ys * denom / max(ys.sum(), denom)  # keep the collectable bound
         results.append(stub_result(ys, u=u, budget=budget))
-    assert 0.0 <= success_rate(results, B=4) <= 1.0
+    for budget in {r.budget for r in results}:
+        played = [r for r in results if r.budget == budget]
+        assert 0.0 <= success_rate(played, B=budget) <= 1.0
+
+
+def test_sr_rejects_result_played_at_other_budget():
+    # budget 3, r_total 3, u 5: its own term is 3 / min(3, 5) = 1, but
+    # dividing by min(B=2, 5) would give 1.5
+    res = stub_result([1.0, 1.0, 1.0], u=5, budget=3)
+    assert res.sr_term == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="budget 3"):
+        success_rate([res], B=2)
+    with pytest.raises(ValueError):
+        success_rate([stub_result([0.5], u=1, budget=2), res], B=2)
 
 
 # ------------------------------------------------------------ run_episode

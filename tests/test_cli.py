@@ -130,3 +130,13 @@ def test_invalid_config_value_exit_code(tmp_path, config_path):
     bad.write_text(json.dumps(doc))
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "e.csv")])
     assert code == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-2"])
+def test_non_positive_budget_override_rejected(tmp_path, config_path, capsys, budget):
+    out = tmp_path / "ep.csv"
+    code = main(["run", "--config", str(config_path), "--seed", "1",
+                 "--out", str(out), "--budget", budget])
+    assert code == 1
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()

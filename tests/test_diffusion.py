@@ -291,6 +291,23 @@ def test_ancestral_final_step_boundary():
 # ----------------------------------------------------------------- guidance
 
 
+def test_measurement_log_concatenates_adds():
+    log = MeasurementLog()
+    assert log.indices.shape == (0,) and log.values.shape == (0,)
+    adds = [(3, [3], [0.5], 1.0), (0, [0, 1, 4, 5], [0.1, 0.2, 0.3, 0.4], 0.25),
+            (7, np.array([[14, 15]]), np.array([[-1.0, 1.0]]), 0.0)]
+    for location, indices, values, y in adds:
+        log.add(location, indices, values, y)
+    np.testing.assert_array_equal(log.indices, [3, 0, 1, 4, 5, 14, 15])
+    np.testing.assert_array_equal(log.values, [0.5, 0.1, 0.2, 0.3, 0.4, -1.0, 1.0])
+    assert log.indices.dtype.kind == "i" and log.values.dtype == float
+    assert log.locations == [3, 0, 7] and log.y_values == [1.0, 0.25, 0.0]
+    assert len(log) == 3
+    with pytest.raises(ValueError):
+        log.add(8, [8, 9], [0.0], 0.0)
+    assert len(log) == 3 and log.indices.size == 7
+
+
 def test_guidance_noop_without_observations():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)

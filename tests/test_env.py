@@ -50,6 +50,15 @@ def test_block_cells_partition_grid():
     np.testing.assert_array_equal(s.location_cells(3), [10, 11, 14, 15])
 
 
+def test_location_cells_are_read_only():
+    s = Scene(grid=np.arange(16) / 16.0, y=np.zeros(16), shape=(4, 4), block=2)
+    with pytest.raises(ValueError):
+        s.location_cells(1)[0] = 0
+    with pytest.raises(ValueError):
+        s.all_location_cells()[3, 3] = 0
+    np.testing.assert_array_equal(s.location_cells(1), [2, 3, 6, 7])
+
+
 def test_target_location_count():
     s = simple_scene()
     assert s.n_target_locations == 2
@@ -221,6 +230,35 @@ def test_ragged_csv_rejected(tmp_path):
     p.write_text("0,1\n1\n")
     with pytest.raises(SceneFormatError):
         load_scene(p)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_csv_grid_rejected(tmp_path, bad):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"0,1\n{bad},0\n")
+    with pytest.raises(SceneFormatError, match="non-finite"):
+        load_scene(p, target="counts")
+
+
+def test_non_finite_target_file_rejected(tmp_path):
+    (tmp_path / "g.csv").write_text("0.2,0.4\n0.6,0.8\n")
+    (tmp_path / "g.target.csv").write_text("0,nan\n1,1\n")
+    with pytest.raises(SceneFormatError, match="non-finite"):
+        load_scene(tmp_path / "g.csv")
+
+
+def test_non_finite_pgm_rejected(tmp_path):
+    p = tmp_path / "img.pgm"
+    p.write_text("P2\n2 2\n255\n0 nan\n128 64\n")
+    with pytest.raises(SceneFormatError, match="non-finite"):
+        load_scene(p, target="counts")
+
+
+def test_non_finite_grid_dir_rejected(tmp_path):
+    (tmp_path / "a.csv").write_text("0,1\n1,0\n")
+    (tmp_path / "b.csv").write_text("1,inf\n0,0\n")
+    with pytest.raises(SceneFormatError, match="non-finite"):
+        load_grid_dir(tmp_path)
 
 
 def test_load_grid_dir(tmp_path):

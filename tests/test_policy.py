@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField, score_field
+from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField
+from gridseek.bench import choose
 from gridseek.env import Scene, measure
 from gridseek.policy import (
+    POLICY_KINDS,
     EpisodeState,
     ExhaustedCandidatesError,
     PolicyConfig,
     build_measurement_schedule,
     combined_score,
     kappa,
-    select,
     select_from_field,
 )
-from gridseek.reward import RewardNet, default_layout
+from gridseek.reward import RewardNet, default_layout, predict
 
 BCFG = BeliefConfig()
 
@@ -142,22 +143,29 @@ def consensus_batch(dim=16):
     return ParticleBatch.of(vals)
 
 
+def choose_in(state, cfg, batch, reward_fn=None, seed=0):
+    """The episode's query step on ``state``, against its scene's cell table."""
+    return choose(cfg, state, batch, state.scene.all_location_cells(), BCFG,
+                  reward_fn, np.random.default_rng(seed))
+
+
 def test_single_candidate_every_policy():
-    for kind in ("diffatd", "random", "max_ent", "greedy_adaptive", "ucb", "eps_greedy"):
+    for kind in POLICY_KINDS:
         state = fresh_state()
         state.candidates = [7]
         net = RewardNet.create(default_layout(1), seed=0)
-        got = select(PolicyConfig(kind=kind), state, consensus_batch(), BCFG,
-                     net, np.random.default_rng(0))
+        reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
+        got, field = choose_in(state, PolicyConfig(kind=kind), consensus_batch(),
+                               reward_fn)
         assert got == 7
+        assert field.locations == [7] and field.combined.shape == (1,)
 
 
 def test_max_ent_picks_unique_disagreement():
     vals = np.zeros((3, 16))
     vals[0, 7] = 1.0  # particles disagree only at location 7
     state = fresh_state()
-    got = select(PolicyConfig(kind="max_ent"), state, ParticleBatch.of(vals),
-                 BCFG, None, np.random.default_rng(0))
+    got, _ = choose_in(state, PolicyConfig(kind="max_ent"), ParticleBatch.of(vals))
     assert got == 7
 
 
@@ -165,8 +173,8 @@ def test_random_policy_matches_duplicate_rng_oracle():
     state = fresh_state()
     state.candidates = [3, 5, 8, 12]
     for seed in range(10):
-        got = select(PolicyConfig(kind="random"), state, None, BCFG, None,
-                     np.random.default_rng(seed))
+        got = select_from_field(PolicyConfig(kind="random"), state, None,
+                                np.random.default_rng(seed))
         oracle = state.candidates[int(np.random.default_rng(seed).integers(4))]
         assert got == oracle
 
@@ -175,8 +183,8 @@ def test_exhausted_candidates_error():
     state = fresh_state()
     state.candidates = []
     with pytest.raises(ExhaustedCandidatesError):
-        select(PolicyConfig(kind="random"), state, None, BCFG, None,
-               np.random.default_rng(0))
+        select_from_field(PolicyConfig(kind="random"), state, None,
+                          np.random.default_rng(0))
 
 
 def test_greedy_adaptive_follows_exploitation():
@@ -188,26 +196,55 @@ def test_greedy_adaptive_follows_exploitation():
     assert got == 1
 
 
+def split_batch():
+    """Exploration favours cell 0 (particles disagree), exploitation cell 1."""
+    vals = np.zeros((2, 16))
+    vals[1, 0] = 1.0
+    vals[:, 1] = 0.9
+    return ParticleBatch.of(vals)
+
+
+def patch_value(patches):
+    return patches[:, 0]
+
+
 def test_diffatd_uses_kappa_schedule():
     state = fresh_state(budget=4)
     state.candidates = [0, 1]
-    f = make_field(expl=[1.0, 0.0], exploit=[0.0, 1.0], locations=[0, 1])
-    rng = np.random.default_rng(0)
+    cfg = PolicyConfig(kind="diffatd")
     # t=0 -> kappa=1 -> exploration argmax
-    assert select_from_field(PolicyConfig(kind="diffatd"), state, f, rng) == 0
+    got, f = choose_in(state, cfg, split_batch(), patch_value)
+    assert got == 0
+    np.testing.assert_allclose(f.combined, [1.0, 0.0])
     state.t = 4
     state.budget = 4
     # t=B -> kappa=0 -> exploitation argmax
-    assert select_from_field(PolicyConfig(kind="diffatd"), state, f, rng) == 1
+    got, f = choose_in(state, cfg, split_batch(), patch_value)
+    assert got == 1
+    np.testing.assert_allclose(f.combined, [0.0, 1.0])
 
 
 def test_kappa_override_pins_mixing():
     state = fresh_state(budget=4)
     state.t = 4
     state.candidates = [0, 1]
-    f = make_field(expl=[1.0, 0.0], exploit=[0.0, 1.0], locations=[0, 1])
+    # unpinned, kappa(4, 4) = 0 picks the exploitation argmax
+    got, f = choose_in(state, PolicyConfig(kind="diffatd"), split_batch(), patch_value)
+    assert got == 1
+    assert int(np.argmax(f.exploration)) == 0 and int(np.argmax(f.exploitation)) == 1
     cfg = PolicyConfig(kind="diffatd", kappa_override=1.0)
-    assert select_from_field(cfg, state, f, np.random.default_rng(0)) == 0
+    got, f = choose_in(state, cfg, split_batch(), patch_value)
+    assert got == 0
+    np.testing.assert_allclose(f.combined, [1.0, 0.0])
+
+
+def test_diffatd_needs_combined_score():
+    state = fresh_state()
+    state.candidates = [0, 1]
+    f = make_field(expl=[1.0, 0.0], exploit=[0.0, 1.0], locations=[0, 1])
+    with pytest.raises(ValueError, match="combined"):
+        select_from_field(PolicyConfig(kind="diffatd"), state, f,
+                          np.random.default_rng(0))
 
 
 def test_tie_break_lowest_index():
@@ -305,7 +342,7 @@ def test_no_remeasurement_within_episode():
     picked = []
     cfg = PolicyConfig(kind="random")
     while state.candidates:
-        loc = select(cfg, state, None, BCFG, None, rng)
+        loc = select_from_field(cfg, state, None, rng)
         assert loc not in picked
         picked.append(loc)
         m = measure(state.scene, loc, rng, step=state.t)
