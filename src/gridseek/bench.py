@@ -16,9 +16,12 @@ reports mean, population std, and runtime per (policy, budget) row.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import json
-import math
+import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -43,6 +46,7 @@ from gridseek.diffusion import (
 )
 from gridseek.env import (
     Scene,
+    _parse_target_spec,
     gen_gmm_scene,
     load_grid_dir,
     load_scene,
@@ -65,6 +69,7 @@ __all__ = [
     "SceneSpec",
     "RewardSpec",
     "ExperimentConfig",
+    "read_value",
     "StepRecord",
     "EpisodeResult",
     "choose",
@@ -78,6 +83,50 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Raised before any computation when a configuration key is invalid."""
+
+
+_JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` raised as a ConfigError naming ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+def read_value(tp, value, key: str = ""):
+    """A parsed JSON ``value`` read as the annotated type ``tp``, named ``key`` in errors.
+
+    This walk is the config schema. A dataclass takes an object of its fields
+    (missing ones keep their defaults); tuples and lists take arrays.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return read_value(inner, value, key)
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key or 'config'} must be an object")
+        hints, prefix = typing.get_type_hints(tp), f"{key}." if key else ""
+        for name in value:
+            if name not in hints:
+                raise ConfigError(f"unknown key {prefix}{name}")
+        return _build(key, tp, **{n: read_value(hints[n], v, prefix + n)
+                                  for n, v in value.items()})
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be an array")
+        return origin(read_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    # type(), not isinstance(): a JSON true is no integer
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if tp in (int, str, dict) and type(value) is tp:
+        return value
+    raise ConfigError(f"{key} must be {_JSON_KINDS[tp]}, got {value!r:.40}")
 
 
 def to_engine(values: np.ndarray) -> np.ndarray:
@@ -138,10 +187,14 @@ class SceneSpec:
                 raise ConfigError("scene.threshold must lie in (0, 1)")
         elif self.path is None:
             raise ConfigError("scene.path is required when scene.kind is 'file'")
+        elif self.format not in (None, "csv", "pgm"):
+            raise ConfigError(f"scene.format must be null, 'csv' or 'pgm', got {self.format!r}")
+        else:
+            _build("scene.target", _parse_target_spec, self.target)
         if self.block < 1:
             raise ConfigError("scene.block must be >= 1")
-        if self.noise is not None and len(self.noise) != 2:
-            raise ConfigError("scene.noise must be [mu, sigma]")
+        if self.noise is not None and (len(self.noise) != 2 or self.noise[1] < 0.0):
+            raise ConfigError("scene.noise must be [mu, sigma] with sigma >= 0")
 
 
 @dataclass
@@ -171,104 +224,39 @@ class ExperimentConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     reward: RewardSpec = field(default_factory=RewardSpec)
     seeds: list[int] = field(default_factory=lambda: [1])
-    out_dir: str = "results"
     prior: dict | None = None
 
     def validate(self) -> None:
         self.scene.validate()
         self.reward.validate()
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
         if self.particles < 2:
             raise ConfigError("particles must be >= 2")
-        if self.schedule.steps < 1:
-            raise ConfigError("schedule.steps must be >= 1")
-        if self.budget > self.schedule.steps:
-            raise ConfigError(
-                f"budget {self.budget} exceeds schedule.steps {self.schedule.steps}"
-            )
-        if not self.sigma_x2 > 0.0:
-            raise ConfigError("sigma_x2 must be positive")
-        if not (math.isfinite(self.zeta) and self.zeta >= 0.0):
-            raise ConfigError("zeta must be finite and non-negative")
-        if self.jacobian_mode not in ("scaled-identity", "exact"):
-            raise ConfigError(f"jacobian_mode {self.jacobian_mode!r} unknown")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds must be distinct")
-        if self.scene.kind == "file" and self.prior is None:
-            raise ConfigError("prior is required for file scenes")
-        try:
-            PolicyConfig(**vars(self.policy))
-        except ValueError as exc:
-            raise ConfigError(f"policy: {exc}") from exc
+        # rules an engine constructor owns are checked by building it
+        _build("schedule", self.schedule.build)
+        _build("guidance", GuidanceConfig, self.zeta, self.jacobian_mode)
+        _build("belief", BeliefConfig, self.sigma_x2)
+        _build("policy", PolicyConfig, **vars(self.policy))
+        _build("budget", build_measurement_schedule, self.schedule.steps, self.budget)
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ConfigError("seeds must be a nonempty list of distinct non-negative integers")
+        if self.scene.kind == "file" and not (
+            isinstance(self.prior, dict) and self.prior.get("kind") in ("json", "dir")
+            and isinstance(self.prior.get("path"), str)
+        ):
+            raise ConfigError("file scenes need prior = {kind: 'json' or 'dir', path: string}")
 
     # ---------------------------------------------------------- dict round trip
 
     def to_dict(self) -> dict:
-        doc = {
-            "scene": {k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in vars(self.scene).items()},
-            "schedule": dict(vars(self.schedule)),
-            "budget": self.budget,
-            "particles": self.particles,
-            "zeta": self.zeta,
-            "jacobian_mode": self.jacobian_mode,
-            "sigma_x2": self.sigma_x2,
-            "policy": dict(vars(self.policy)),
-            "reward": {"hidden": list(self.reward.hidden),
-                       "epochs": self.reward.epochs, "lr": self.reward.lr},
-            "seeds": list(self.seeds),
-            "out_dir": self.out_dir,
-        }
-        if self.prior is not None:
-            doc["prior"] = self.prior
+        """The JSON document ``from_dict`` reads back; ``prior`` is left out when unset."""
+        doc = json.loads(json.dumps(dataclasses.asdict(self)))
+        if self.prior is None:
+            del doc["prior"]
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        def sub(section, maker, current):
-            raw = doc.get(section)
-            if raw is None:
-                return current
-            if not isinstance(raw, dict):
-                raise ConfigError(f"{section} must be an object")
-            known = vars(current)
-            for key in raw:
-                if key not in known:
-                    raise ConfigError(f"unknown key {section}.{key}")
-            return maker(**{**known, **raw})
-
-        cfg = cls()
-        known = set(vars(cfg))
-        for key in doc:
-            if key not in known:
-                raise ConfigError(f"unknown key {key}")
-        scene = sub("scene", SceneSpec, cfg.scene)
-        if scene.noise is not None:
-            scene.noise = tuple(scene.noise)
-        schedule = sub("schedule", ScheduleSpec, cfg.schedule)
-        try:
-            policy = sub("policy", PolicyConfig, cfg.policy)
-        except ValueError as exc:
-            raise ConfigError(f"policy: {exc}") from exc
-        reward = sub("reward", RewardSpec, cfg.reward)
-        reward.hidden = tuple(reward.hidden)
-        return cls(
-            scene=scene,
-            schedule=schedule,
-            budget=int(doc.get("budget", cfg.budget)),
-            particles=int(doc.get("particles", cfg.particles)),
-            zeta=float(doc.get("zeta", cfg.zeta)),
-            jacobian_mode=doc.get("jacobian_mode", cfg.jacobian_mode),
-            sigma_x2=float(doc.get("sigma_x2", cfg.sigma_x2)),
-            policy=policy,
-            reward=reward,
-            seeds=[int(s) for s in doc.get("seeds", cfg.seeds)],
-            out_dir=doc.get("out_dir", cfg.out_dir),
-            prior=doc.get("prior"),
-        )
+        return read_value(cls, doc)
 
     @staticmethod
     def read_doc(path) -> dict:
@@ -277,9 +265,12 @@ class ExperimentConfig:
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         try:
-            return json.loads(path.read_text())
+            doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object")
+        return doc
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -299,14 +290,11 @@ def build_unit_prior(cfg: ExperimentConfig) -> GaussianMixturePrior:
             radius=cfg.scene.radius,
             variance=cfg.scene.variance,
         )
-    spec = cfg.prior
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind == "json":
+    spec = cfg.prior  # its kind and path are checked by ExperimentConfig.validate
+    if spec["kind"] == "json":
         return GaussianMixturePrior.from_json(spec["path"])
-    if kind == "dir":
-        grids = load_grid_dir(spec["path"])
-        return GaussianMixturePrior.from_grids(grids, float(spec.get("variance", 1e-3)))
-    raise ConfigError("prior.kind must be 'json' or 'dir'")
+    grids = load_grid_dir(spec["path"])
+    return GaussianMixturePrior.from_grids(grids, float(spec.get("variance", 1e-3)))
 
 
 def build_scene(cfg: ExperimentConfig, prior_unit: GaussianMixturePrior,

@@ -23,6 +23,7 @@ from gridseek.bench import (
     ExperimentConfig,
     build_scene,
     build_unit_prior,
+    read_value,
     run_episode,
     run_suite,
     write_suite_csv,
@@ -102,8 +103,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_suite(args) -> int:
     doc = ExperimentConfig.read_doc(args.config)
-    policies = doc.pop("policies", None)
-    budgets = doc.pop("budgets", None)
+    policies = read_value(list[str] | None, doc.pop("policies", None), "policies")
+    budgets = read_value(list[int] | None, doc.pop("budgets", None), "budgets")
     cfg = ExperimentConfig.from_dict(doc)
     cfg.validate()
     n_cells = (len(policies or [cfg.policy.kind]) * len(budgets or [cfg.budget]))

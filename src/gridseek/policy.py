@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -72,6 +71,8 @@ class PolicyConfig:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        if self.kappa_override is not None and not 0.0 <= self.kappa_override <= 1.0:
+            raise ValueError(f"kappa_override must lie in [0, 1], got {self.kappa_override}")
 
 
 @dataclass
@@ -156,7 +157,7 @@ def _argmax_with_ties(values: np.ndarray, tie_break: str, rng) -> int:
     return int(tied[rng.integers(tied.size)]) if tied.size > 1 else best
 
 
-def _neighborhood_estimates(cfg: PolicyConfig, state: EpisodeState):
+def _neighborhood_estimates(state: EpisodeState):
     """Optimistic pseudo-count mean of observed y around each candidate."""
     loc_rows, loc_cols = state.scene.location_shape
     measured = np.asarray(state.log.locations, dtype=int)
@@ -192,7 +193,7 @@ def select_from_field(
         return cands[int(rng.integers(len(cands)))]
 
     if cfg.kind in ("ucb", "eps_greedy"):
-        est, counts = _neighborhood_estimates(cfg, state)
+        est, counts = _neighborhood_estimates(state)
         if cfg.kind == "ucb":
             bonus = cfg.ucb_c * np.sqrt(math.log(state.t + 1.0) / (counts + 1.0))
             return cands[_argmax_with_ties(est + bonus, cfg.tie_break, rng)]

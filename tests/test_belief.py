@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from gridseek.belief import (
     BeliefConfig,
     ParticleBatch,
-    ScoreField,
     SizeLimitError,
     entropy_rank_oracle,
     location_scores,

@@ -1,8 +1,16 @@
+import copy
+import dataclasses
 import json
+import math
+import re
+import types
+import typing
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridseek.bench import (
     ConfigError,
@@ -370,3 +378,121 @@ def test_reward_spec_validation():
         tiny_cfg(reward=RewardSpec(hidden=())).validate()
     with pytest.raises(ConfigError, match="reward.epochs"):
         tiny_cfg(reward=RewardSpec(epochs=0)).validate()
+
+
+def test_config_round_trip_of_every_non_default_section(tmp_path):
+    cfg = file_scene_cfg(
+        tmp_path,
+        scene=SceneSpec(kind="file", path=str(tmp_path / "scene.csv"), format="csv",
+                        target="value>0.5", block=2, noise=(0.0, 0.05)),
+        schedule=ScheduleSpec(steps=40, beta_min=2e-4, beta_max=0.03, curve="cosine",
+                              sigma_mode="zero"),
+        budget=5, particles=4, zeta=0.5, jacobian_mode="exact", sigma_x2=2.0,
+        policy=PolicyConfig(kind="ucb", alpha=2.0, combine_mode="likeli",
+                            normalize="none", tie_break="seeded_random", ucb_c=0.5,
+                            epsilon=0.2, kappa_override=0.3),
+        reward=RewardSpec(hidden=(4,), epochs=2, lr=0.05),
+        seeds=[3, 0, 9],
+    )
+    cfg.validate()
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    assert doc["prior"] == cfg.prior
+    assert doc["scene"]["noise"] == [0.0, 0.05] and doc["reward"]["hidden"] == [4]
+    back = ExperimentConfig.from_dict(doc)
+    assert back == cfg
+    assert back.scene.noise == (0.0, 0.05) and back.reward.hidden == (4,)
+
+
+def test_config_dict_has_no_out_dir_and_drops_unset_prior():
+    doc = ExperimentConfig().to_dict()
+    assert "out_dir" not in doc and "prior" not in doc
+    with pytest.raises(ConfigError, match="out_dir"):
+        ExperimentConfig.from_dict({"out_dir": "results"})
+
+
+@pytest.mark.parametrize("key,doc", [
+    ("budget", {"budget": True}),
+    ("particles", {"particles": 2.7}),
+    ("particles", {"particles": 3.0}),
+    ("zeta", {"zeta": 10**400}),
+    ("schedule.beta_min", {"schedule": {"beta_min": -10**400}}),
+    ("sigma_x2", {"sigma_x2": math.nan}),
+    ("zeta", {"zeta": math.inf}),
+    ("zeta", {"zeta": False}),
+    ("jacobian_mode", {"jacobian_mode": 1}),
+    ("scene", {"scene": None}),
+    ("scene.noise[1]", {"scene": {"noise": [0.0, "x"]}}),
+    ("reward.hidden[0]", {"reward": {"hidden": [4.0]}}),
+    ("seeds[1]", {"seeds": [1, None]}),
+    ("prior", {"prior": []}),
+])
+def test_config_reader_checks_json_types(key, doc):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_config_reader_converts_json_numbers_and_arrays():
+    cfg = ExperimentConfig.from_dict({"zeta": 2, "scene": {"noise": [0, 1]},
+                                      "reward": {"hidden": [4]},
+                                      "policy": {"kappa_override": None}})
+    assert cfg.zeta == 2.0 and type(cfg.zeta) is float
+    assert cfg.scene.noise == (0.0, 1.0) and cfg.reward.hidden == (4,)
+    assert cfg.policy.kappa_override is None
+
+
+def conforms(tp, value) -> bool:
+    """Whether ``value`` has the annotated type ``tp`` (floats finite)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):
+        return any(conforms(a, value) for a in args)
+    if dataclasses.is_dataclass(tp):
+        return isinstance(value, tp) and all(
+            conforms(t, getattr(value, n)) for n, t in typing.get_type_hints(tp).items())
+    if origin in (tuple, list):
+        return type(value) is origin and all(conforms(args[0], v) for v in value)
+    if tp is float:
+        return type(value) is float and math.isfinite(value)
+    return type(value) is tp
+
+
+def key_paths(doc, prefix=()):
+    for name, value in doc.items():
+        yield prefix + (name,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (name,))
+
+
+DEFAULT_DOC = ExperimentConfig().to_dict()
+KEY_PATHS = [*key_paths(DEFAULT_DOC), ("prior",)]
+SECTIONS = [()] + [(name,) for name, v in DEFAULT_DOC.items() if isinstance(v, dict)]
+# integers stay within +-1e4 so no drawn schedule.steps allocates more than a few MB
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**4, 10**4) | st.floats()
+                | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=8)
+                | st.sampled_from(["file", "exact", "cosine", "ucb", "csv"]))
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["kind", "path"]), inner,
+                      max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_reader_fuzz(data):
+    doc = copy.deepcopy(DEFAULT_DOC)
+    if data.draw(st.booleans()):
+        path = data.draw(st.sampled_from(KEY_PATHS))
+    else:
+        path = data.draw(st.sampled_from(SECTIONS)) + (data.draw(st.text(max_size=8)),)
+    section = doc
+    for name in path[:-1]:
+        section = section[name]
+    section[path[-1]] = data.draw(JSON_VALUES)
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+        cfg.validate()
+    except ConfigError:
+        return
+    assert conforms(ExperimentConfig, cfg)

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from gridseek.cli import main
+from gridseek.diffusion import GaussianMixturePrior
 
 
 @pytest.fixture
@@ -140,3 +142,84 @@ def test_non_positive_budget_override_rejected(tmp_path, config_path, capsys, bu
     assert code == 1
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+def use_file_scene(doc, tmp_path):
+    """Point ``doc`` at a 6x6 CSV grid with a single-component JSON prior."""
+    grid = np.random.default_rng(0).uniform(0.0, 1.0, (6, 6))
+    np.savetxt(tmp_path / "scene.csv", grid, delimiter=",")
+    GaussianMixturePrior.single(grid.ravel(), 0.01).to_json(tmp_path / "prior.json")
+    doc["scene"] = {"kind": "file", "path": str(tmp_path / "scene.csv")}
+    doc["prior"] = {"kind": "json", "path": str(tmp_path / "prior.json")}
+    return doc
+
+
+def set_key(doc, dotted, value):
+    *sections, last = dotted.split(".")
+    for name in sections:
+        doc = doc.setdefault(name, {})
+    doc[last] = value
+
+
+def test_file_scene_config_runs(tmp_path, config_path):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "e.csv")]) == 0
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+
+
+@pytest.mark.parametrize("file_scene,key,value", [
+    (False, "scene.rows", "x"),
+    (False, "reward.hidden", 5),
+    (False, "seeds", 5),
+    (False, "schedule.steps", 20.5),
+    (False, "budget", True),
+    (False, "particles", 2.7),
+    (False, "policy.ucb_c", "x"),
+    (False, "policy.kappa_override", 5.0),
+    (False, "schedule.beta_min", 2.0),
+    (False, "schedule.curve", "quad"),
+    (False, "seeds", [-1, 2]),
+    (False, "scene.noise", [0.0, -1.0]),
+    pytest.param(False, "zeta", 10**400, id="False-zeta-1e400"),
+    (True, "prior", {"kind": "json"}),
+    (True, "prior.kind", "zip"),
+    (True, "scene.target", "bogus"),
+    (True, "scene.format", "tiff"),
+])
+def test_bad_config_value_exits_1_under_run_and_suite(tmp_path, config_path, capsys,
+                                                      file_scene, key, value):
+    doc = json.loads(config_path.read_text())
+    if file_scene:
+        use_file_scene(doc, tmp_path)
+    set_key(doc, key, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
+        assert key.split(".")[-1] in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("key,value", [
+    ("budgets", 5), ("budgets", [2.5]), ("policies", "random"), ("policies", [1]),
+])
+def test_suite_matrix_arrays_are_type_checked(tmp_path, config_path, capsys, key, value):
+    doc = json.loads(config_path.read_text())
+    doc[key] = value
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "results.csv"
+    assert main(["suite", "--config", str(path), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_non_object_config_document_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+    assert "list.json" in capsys.readouterr().err

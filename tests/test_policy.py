@@ -391,3 +391,9 @@ def test_policy_config_validation():
         PolicyConfig(epsilon=1.5)
     with pytest.raises(ValueError):
         PolicyConfig(normalize="zscore")
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, 5.0, math.nan])
+def test_kappa_override_outside_unit_interval_rejected(value):
+    with pytest.raises(ValueError, match="kappa_override"):
+        PolicyConfig(kappa_override=value)
