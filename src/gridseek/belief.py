@@ -45,61 +45,39 @@ class SizeLimitError(ValueError):
 
 @dataclass
 class ParticleBatch:
-    """Particle states plus their denoised means at reverse step tau."""
+    """One-step denoised means of the particles, shape (n_b, dim)."""
 
-    particles: np.ndarray
     denoised: np.ndarray
-    tau: int = 0
 
     def __post_init__(self):
-        self.particles = np.asarray(self.particles, dtype=float)
         self.denoised = np.asarray(self.denoised, dtype=float)
-        if self.particles.ndim != 2 or self.particles.shape != self.denoised.shape:
-            raise ValueError("particles and denoised must share shape (n_b, dim)")
+        if self.denoised.ndim != 2:
+            raise ValueError("denoised must have shape (n_b, dim)")
         if self.n_b < 2:
             raise ValueError("need at least 2 particles for pairwise scores")
 
-    @classmethod
-    def of(cls, denoised, tau: int = 0) -> "ParticleBatch":
-        denoised = np.asarray(denoised, dtype=float)
-        return cls(denoised.copy(), denoised, tau)
-
     @property
     def n_b(self) -> int:
-        return self.particles.shape[0]
+        return self.denoised.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.particles.shape[1]
+        return self.denoised.shape[1]
 
 
 @dataclass
 class BeliefConfig:
-    """Belief-mixture variance and component weights (uniform by default).
+    """Belief-mixture variance; the mixture weights its particles equally.
 
     sigma_x2 only rescales scores; min-max normalization downstream removes
-    the dependence, so the default of 1.0 is rarely worth changing. Weights
-    enter the marginal entropy only; pairwise scores assume equal weights.
+    the dependence, so the default of 1.0 is rarely worth changing.
     """
 
     sigma_x2: float = 1.0
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if not (self.sigma_x2 > 0.0):
             raise ValueError(f"sigma_x2 must be positive, got {self.sigma_x2}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
-                raise ValueError("weights must be non-negative and sum to 1")
-            self.weights = w
-
-    def weights_for(self, n_b: int) -> np.ndarray:
-        if self.weights is None:
-            return np.full(n_b, 1.0 / n_b)
-        if self.weights.shape != (n_b,):
-            raise ValueError("weights length does not match batch size")
-        return self.weights
 
 
 @dataclass
@@ -137,12 +115,10 @@ def _coords(location, dim: int) -> np.ndarray:
 
 def marginal_entropy(batch: ParticleBatch, cfg: BeliefConfig) -> float:
     """Batch-level ranking surrogate: sum_i a_i log sum_j a_j exp(d_ij)."""
-    w = cfg.weights_for(batch.n_b)
+    w = np.full(batch.n_b, 1.0 / batch.n_b)
     diff = batch.denoised[:, None, :] - batch.denoised[None, :, :]
     d = np.sum(diff * diff, axis=-1) / (2.0 * cfg.sigma_x2)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    terms = logw[None, :] + d
+    terms = np.log(w)[None, :] + d
     m = terms.max(axis=1, keepdims=True)
     inner = np.squeeze(m, 1) + np.log(np.sum(np.exp(terms - m), axis=1))
     return float(np.dot(w, inner))
@@ -170,18 +146,13 @@ def location_scores(
     return expl, likeli, likeli * reward
 
 
-def entropy_rank_oracle(
-    batch: ParticleBatch,
-    candidates: Sequence,
-    cfg: BeliefConfig,
-    return_values: bool = False,
-):
+def entropy_rank_oracle(batch: ParticleBatch, candidates: Sequence, cfg: BeliefConfig):
     """Brute-force ranking of candidates by the per-location belief objective.
 
     Walks the objective exactly as the pairwise decomposition prescribes:
     equal particle weights, one log(exp(.)) term per ordered particle pair,
     restricted to the candidate's own cells. Test-only; guarded to toy sizes
-    (n_b <= 4, <= 16 scalar candidates).
+    (n_b <= 4, <= 16 scalar candidates). Returns (best candidate, all values).
     """
     if batch.n_b > 4 or len(candidates) > 16:
         raise SizeLimitError("oracle limited to n_b <= 4 and <= 16 candidates")
@@ -196,10 +167,7 @@ def entropy_rank_oracle(
                 dev = batch.denoised[i, coords[0]] - batch.denoised[j, coords[0]]
                 total += math.log(math.exp(dev * dev / (2.0 * cfg.sigma_x2)))
         values.append(total)
-    best = int(np.argmax(values))
-    if return_values:
-        return candidates[best], np.asarray(values)
-    return candidates[best]
+    return candidates[int(np.argmax(values))], np.asarray(values)
 
 
 def score_field(

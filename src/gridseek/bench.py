@@ -185,6 +185,11 @@ class SceneSpec:
                 raise ConfigError("scene.components must be >= 1")
             if not 0.0 < self.threshold < 1.0:
                 raise ConfigError("scene.threshold must lie in (0, 1)")
+            if self.blobs_per_component < 1:
+                raise ConfigError("scene.blobs_per_component must be >= 1")
+            if not 0.0 < 2.0 * self.radius <= min(self.rows, self.cols) - 1:
+                raise ConfigError("scene.radius must satisfy 0 < 2 * scene.radius"
+                                  " <= min(scene.rows, scene.cols) - 1")
         elif self.path is None:
             raise ConfigError("scene.path is required when scene.kind is 'file'")
         elif self.format not in (None, "csv", "pgm"):
@@ -310,6 +315,20 @@ def build_scene(cfg: ExperimentConfig, prior_unit: GaussianMixturePrior,
                       noise=cfg.scene.noise)
 
 
+def build_prior_and_scene(cfg: ExperimentConfig, scene_rng: np.random.Generator):
+    """The unit prior and one scene; a ValueError becomes a ConfigError naming the section.
+
+    A missing file stays a FileNotFoundError naming the path.
+    """
+    prior_section = "scene" if cfg.scene.kind == "blobs" else "prior"
+    prior_unit = _build(prior_section, build_unit_prior, cfg)
+    scene = _build("scene", build_scene, cfg, prior_unit, scene_rng)
+    if prior_unit.dimension != scene.n_cells:
+        raise ConfigError(f"prior dimension {prior_unit.dimension} does not match "
+                          f"scene cells {scene.n_cells}")
+    return prior_unit, scene
+
+
 @dataclass(frozen=True)
 class StepRecord:
     t: int
@@ -391,13 +410,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     reward_seed = int(children[3].generate_state(1)[0])
     particle_rngs = [np.random.default_rng(c) for c in children[4:]]
 
-    prior_unit = build_unit_prior(cfg)
-    scene = build_scene(cfg, prior_unit, scene_rng)
-    if prior_unit.dimension != scene.n_cells:
-        raise ConfigError(
-            f"prior dimension {prior_unit.dimension} does not match scene "
-            f"cells {scene.n_cells}"
-        )
+    prior_unit, scene = build_prior_and_scene(cfg, scene_rng)
     prior = prior_unit.affine(2.0, -1.0)
     sched = cfg.schedule.build()
     score_fn = lambda x, tau: gmm_score(x, tau, prior, sched)
@@ -422,19 +435,18 @@ def run_episode(cfg: ExperimentConfig, seed: int,
         x_hat = tweedie_denoise(particles, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in particle_rngs])
         x_prime = ancestral_step(particles, x_hat, tau, z, sched)
-        particles = guidance_step(x_prime, particles, state.log, tau, gcfg,
-                                  score_fn, sched, hessian_fn, x_hat=x_hat)
+        particles = guidance_step(x_prime, particles, x_hat, state.log, tau, gcfg,
+                                  sched, hessian_fn)
 
         if tau in schedule_set and state.budget_left > 0 and state.candidates:
-            snapshot = ParticleBatch.of(to_unit(x_hat), tau)
+            snapshot = ParticleBatch(to_unit(x_hat))
             reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
             location, field_now = choose(cfg.policy, state, snapshot, cell_table,
                                          bcfg, reward_fn, policy_rng)
             if field_sink is not None:
                 field_sink(state.t, tau, field_now)
             picked = field_now.locations.index(location)
-            m = measure(scene, location, noise_rng, step=state.t,
-                        measured=set(state.log.locations))
+            m = measure(scene, location, noise_rng)
             state.apply(m, to_engine(m.content))
             net = train(net, state.dataset, cfg.reward.epochs, cfg.reward.lr)
             records.append(StepRecord(
@@ -475,8 +487,11 @@ def run_suite(cfg: ExperimentConfig, policies=None, budgets=None, jobs: int = 1)
 
     Returns (rows, failures): rows are dicts sorted by (policy, budget),
     failures list (policy, budget, seed, message) without aborting the rest.
+    The prior and a scene are built once first, with the first seed, so a bad
+    scene or prior fails the whole suite before any cell runs.
     """
     cfg.validate()
+    build_prior_and_scene(cfg, np.random.default_rng(cfg.seeds[0]))
     if policies is None:
         policies = [cfg.policy.kind]
     if budgets is None:

@@ -21,8 +21,7 @@ import numpy as np
 from gridseek.bench import (
     ConfigError,
     ExperimentConfig,
-    build_scene,
-    build_unit_prior,
+    build_prior_and_scene,
     read_value,
     run_episode,
     run_suite,
@@ -61,9 +60,7 @@ def _load_config(path: str, args) -> ExperimentConfig:
 
 def _cmd_gen_scene(args) -> int:
     cfg = _load_config(args.config, args)
-    prior = build_unit_prior(cfg)
-    rng = np.random.default_rng(args.seed)
-    scene = build_scene(cfg, prior, rng)
+    _, scene = build_prior_and_scene(cfg, np.random.default_rng(args.seed))
     save_scene(scene, args.out)
     _log(f"scene with {scene.n_target_locations} target locations -> {args.out}")
     return 0

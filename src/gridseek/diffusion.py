@@ -376,13 +376,12 @@ def ancestral_step(x_tau, x_hat, tau: int, z, sched: NoiseSchedule) -> np.ndarra
 def guidance_step(
     x_prime,
     x_tau,
+    x_hat,
     observed: MeasurementLog,
     tau: int,
     cfg: GuidanceConfig,
-    score_fn,
     sched: NoiseSchedule,
     hessian_fn=None,
-    x_hat=None,
 ) -> np.ndarray:
     """Correct an ancestral step toward the observed cells.
 
@@ -391,8 +390,8 @@ def guidance_step(
     In ``scaled-identity`` mode that gradient is (2/sqrt(abar)) (xhat_q - x_q)
     at observed coordinates and zero elsewhere; ``exact`` mode chain-rules
     through the denoiser Jacobian (I + (1 - abar) H) / sqrt(abar) built from
-    ``hessian_fn``. Broadcasts over a leading batch axis. Pass ``x_hat`` when
-    the denoised mean of x_tau is already available.
+    ``hessian_fn``. Broadcasts over a leading batch axis. ``x_hat`` is the
+    denoised mean of x_tau.
     """
     x_prime = np.asarray(x_prime, dtype=float)
     if len(observed) == 0 or cfg.zeta == 0.0:
@@ -405,8 +404,6 @@ def guidance_step(
         raise LocationError(f"observed index outside 0..{n - 1}")
 
     abar = sched.alpha_bar[tau - 1]
-    if x_hat is None:
-        x_hat = tweedie_denoise(x_tau, tau, score_fn, sched)
     residual = np.zeros_like(x_tau)
     residual[..., idx] = x_hat[..., idx] - observed.values
 

@@ -16,7 +16,6 @@ contents and target ratios.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -115,55 +114,34 @@ class Measurement:
     location: int
     content: np.ndarray
     y: float
-    step: int = 0
 
 
-def measure(scene: Scene, location: int, rng: np.random.Generator,
-            step: int = 0, measured=None) -> Measurement:
+def measure(scene: Scene, location: int, rng: np.random.Generator) -> Measurement:
     """Reveal a location's contents (noisy if configured) and its exact y."""
-    if measured is not None and location in measured:
-        raise RepeatMeasurementError(f"location {location} already measured")
     cells = scene.location_cells(location)
     content = scene.grid[cells].copy()
     if scene.noise is not None:
         mu, sigma = scene.noise
         content = content + rng.normal(mu, sigma, content.shape)
-    return Measurement(location=location, content=content,
-                       y=scene.location_y(location), step=step)
+    return Measurement(location=location, content=content, y=scene.location_y(location))
 
 
 def gen_gmm_scene(
     prior: GaussianMixturePrior,
-    target_rule,
+    threshold: float,
     rng: np.random.Generator,
     shape: tuple[int, int],
     block: int = 1,
     noise: tuple[float, float] | None = None,
 ) -> Scene:
-    """Draw a scene from the mixture prior and derive its target map.
-
-    ``target_rule`` is either a threshold (cells whose sampled value exceeds
-    it are targets) or one 0/1 label per mixture component (every cell of a
-    scene drawn from a labeled component counts as target).
-    """
+    """Draw a scene from the mixture prior; cells above ``threshold`` are targets."""
     rows, cols = shape
     if prior.dimension != rows * cols:
         raise ValueError(
             f"prior dimension {prior.dimension} does not match shape {shape}"
         )
-    k = int(rng.choice(prior.n_components, p=prior.weights))
-    grid = prior.means[k].copy()
-    if prior.variances[k] > 0.0:
-        grid = grid + math.sqrt(prior.variances[k]) * rng.standard_normal(grid.size)
-    grid = np.clip(grid, 0.0, 1.0)
-
-    if np.isscalar(target_rule):
-        y = (grid > float(target_rule)).astype(float)
-    else:
-        labels = np.asarray(target_rule, dtype=float)
-        if labels.shape != (prior.n_components,):
-            raise ValueError("need one component label per mixture component")
-        y = np.full(grid.size, labels[k])
+    grid = np.clip(prior.sample(rng), 0.0, 1.0)
+    y = (grid > float(threshold)).astype(float)
     return Scene(grid=grid, y=y, shape=shape, block=block, noise=noise)
 
 
@@ -249,12 +227,16 @@ def _read_pgm(path: Path) -> np.ndarray:
         if not tok.startswith(b"#"):
             tokens.append(tok)
     magic, width, height, maxval = tokens[0], *(int(t) for t in tokens[1:])
-    if maxval <= 0:
+    if width < 1 or height < 1:
+        raise SceneFormatError(f"{path}: bad size {width}x{height}")
+    if not 0 < maxval < 65536:
         raise SceneFormatError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
         values = np.array(data[pos:].split(), dtype=float)
     elif magic == b"P5":
-        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        if len(data) - pos - 1 < width * height * dtype.itemsize:
+            raise SceneFormatError(f"{path}: expected {width * height} pixels")
         values = np.frombuffer(data[pos + 1:], dtype=dtype, count=width * height)
         values = values.astype(float)
     else:
@@ -326,13 +308,13 @@ def save_scene(scene: Scene, path) -> None:
     dump(scene.y, _target_path(path))
 
 
-def load_grid_dir(directory, pattern: str = "*.csv") -> list[np.ndarray]:
-    """Flattened grids from a directory, sorted by name; feeds empirical priors."""
+def load_grid_dir(directory) -> list[np.ndarray]:
+    """Flattened ``*.csv`` grids from a directory, sorted by name; feeds empirical priors."""
     directory = Path(directory)
-    paths = sorted(p for p in directory.glob(pattern)
+    paths = sorted(p for p in directory.glob("*.csv")
                    if not p.name.endswith(".target.csv"))
     if not paths:
-        raise FileNotFoundError(f"no grid files matching {pattern} in {directory}")
+        raise FileNotFoundError(f"no grid files matching *.csv in {directory}")
     grids = []
     for p in paths:
         raw = _read_csv_grid(p)

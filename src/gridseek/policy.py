@@ -27,7 +27,7 @@ import numpy as np
 
 from gridseek.belief import ScoreField
 from gridseek.diffusion import MeasurementLog
-from gridseek.env import Measurement, Scene
+from gridseek.env import Measurement, RepeatMeasurementError, Scene
 from gridseek.reward import LabeledPatch
 
 __all__ = [
@@ -103,9 +103,12 @@ class EpisodeState:
 
         ``engine_values`` are the revealed contents mapped into the sampler's
         value space; the raw contents feed the reward dataset unchanged.
+        A location that is no longer a candidate raises RepeatMeasurementError.
         """
         if self.t >= self.budget:
             raise ValueError("budget exhausted")
+        if m.location not in self.candidates:
+            raise RepeatMeasurementError(f"location {m.location} already measured")
         self.candidates.remove(m.location)
         self.t += 1
         self.r_total += m.y

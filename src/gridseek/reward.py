@@ -15,10 +15,8 @@ five-stage stack (patch -> 4 -> 32 -> 16 -> 8 -> 1) available as a preset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -64,8 +62,6 @@ class RewardNet:
     sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    seed: int = 0
-    leak: float = LEAK
 
     @classmethod
     def create(cls, sizes, seed: int = 0) -> "RewardNet":
@@ -78,7 +74,7 @@ class RewardNet:
             bound = 1.0 / math.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
             biases.append(rng.uniform(-bound, bound, fan_out))
-        return cls(sizes=sizes, weights=weights, biases=biases, seed=seed)
+        return cls(sizes=sizes, weights=weights, biases=biases)
 
     @property
     def n_params(self) -> int:
@@ -89,30 +85,6 @@ class RewardNet:
             sizes=list(self.sizes),
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
-            seed=self.seed,
-            leak=self.leak,
-        )
-
-    def to_json(self, path) -> None:
-        doc = {
-            "config": {"sizes": self.sizes, "leak": self.leak},
-            "seed": self.seed,
-            "layers": [
-                {"w": w.tolist(), "b": b.tolist()}
-                for w, b in zip(self.weights, self.biases)
-            ],
-        }
-        Path(path).write_text(json.dumps(doc))
-
-    @classmethod
-    def from_json(cls, path) -> "RewardNet":
-        doc = json.loads(Path(path).read_text())
-        return cls(
-            sizes=[int(s) for s in doc["config"]["sizes"]],
-            weights=[np.asarray(l["w"], dtype=float) for l in doc["layers"]],
-            biases=[np.asarray(l["b"], dtype=float) for l in doc["layers"]],
-            seed=int(doc["seed"]),
-            leak=float(doc["config"]["leak"]),
         )
 
 
@@ -124,7 +96,7 @@ def _forward(net: RewardNet, X: np.ndarray):
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = h @ w + b
         pres.append(z)
-        h = z if i == last else np.where(z > 0.0, z, net.leak * z)
+        h = z if i == last else np.where(z > 0.0, z, LEAK * z)
         acts.append(h)
     return pres, acts
 
@@ -184,7 +156,7 @@ def _gradients(net: RewardNet, X: np.ndarray, y: np.ndarray):
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ net.weights[i].T
-            delta = delta * np.where(pres[i - 1] > 0.0, 1.0, net.leak)
+            delta = delta * np.where(pres[i - 1] > 0.0, 1.0, LEAK)
     return grads_w, grads_b
 
 

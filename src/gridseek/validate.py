@@ -81,9 +81,9 @@ def check_entropy_ranking(seed: int = 2):
     for _ in range(total):
         n_b = int(rng.integers(2, 5))
         n_loc = int(rng.integers(2, 17))
-        batch = ParticleBatch.of(rng.normal(size=(n_b, n_loc)))
+        batch = ParticleBatch(rng.normal(size=(n_b, n_loc)))
         cands = list(range(n_loc))
-        _, vals = entropy_rank_oracle(batch, cands, cfg, return_values=True)
+        _, vals = entropy_rank_oracle(batch, cands, cfg)
         expl = score_field(batch, cands, np.arange(n_loc)[:, None], cfg).exploration
         tied = set(np.flatnonzero(vals >= vals.max() - 1e-9))
         agreed += int(np.argmax(expl)) in tied

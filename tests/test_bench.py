@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridseek.bench
 from gridseek.bench import (
     ConfigError,
     EpisodeResult,
@@ -307,13 +308,24 @@ def test_suite_parallel_matches_serial():
     assert metrics(serial) == metrics(parallel)
 
 
-def test_suite_partial_failure_report(tmp_path):
+def test_suite_partial_failure_report(tmp_path, monkeypatch):
     cfg = file_scene_cfg(tmp_path, seeds=[1, 2])
-    (tmp_path / "scene.csv").unlink()  # break the scene source
+
+    def broken_refit(*args, **kwargs):
+        raise RuntimeError("reward refit failed")
+
+    monkeypatch.setattr(gridseek.bench, "train", broken_refit)  # fails inside each episode
     rows, failures = run_suite(cfg)
     assert rows == []
     assert len(failures) == 2
     assert failures[0][:3] == (cfg.policy.kind, cfg.budget, 1)
+
+
+def test_suite_rejects_missing_scene_before_any_cell(tmp_path):
+    cfg = file_scene_cfg(tmp_path, seeds=[1, 2])
+    (tmp_path / "scene.csv").unlink()
+    with pytest.raises(FileNotFoundError, match="scene.csv"):
+        run_suite(cfg)
 
 
 def test_suite_csv_output(tmp_path):

@@ -223,3 +223,32 @@ def test_non_object_config_document_exits_1(tmp_path, capsys, command):
     path.write_text("[1, 2]")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
     assert "list.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file_scene,key,value,named", [
+    (False, "scene.block", 4, "block"),
+    (False, "scene.variance", -1.0, "variance"),
+    (False, "scene.rows", 1, "scene.rows"),
+    (False, "scene.blobs_per_component", 0, "blobs_per_component"),
+    (False, "scene.radius", 0.0, "radius"),
+    (True, "scene.path", "missing.csv", "missing.csv"),
+    (True, "prior.path", "missing.json", "missing.json"),
+    (True, "scene.target", "file", "scene.target.csv"),
+    (True, "scene.path", "wide.pgm", "wide.pgm"),
+])
+def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path, capsys,
+                                                           file_scene, key, value, named):
+    """Errors that show only when the prior or a scene is built, not in the config."""
+    doc = json.loads(config_path.read_text())
+    if file_scene:
+        use_file_scene(doc, tmp_path)
+        (tmp_path / "wide.pgm").write_bytes(b"P5 99999999999999999999 1 255\n\0")
+        value = value if key == "scene.target" else str(tmp_path / value)
+    set_key(doc, key, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
+        assert named in capsys.readouterr().err, command
+        assert not out.exists(), command

@@ -311,10 +311,10 @@ def test_measurement_log_concatenates_adds():
 def test_guidance_noop_without_observations():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
-    xp = np.array([0.5, -0.5])
+    xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
+    x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, np.array([1.0, 1.0]), MeasurementLog(), 4,
-        GuidanceConfig(zeta=2.0), make_score_fn(prior, sched), sched,
+        xp, x_tau, x_hat, MeasurementLog(), 4, GuidanceConfig(zeta=2.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
 
@@ -324,10 +324,10 @@ def test_guidance_noop_with_zero_zeta():
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     log = MeasurementLog()
     log.add(0, [0], [0.9], 1.0)
-    xp = np.array([0.5, -0.5])
+    xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
+    x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, np.array([1.0, 1.0]), log, 4, GuidanceConfig(zeta=0.0),
-        make_score_fn(prior, sched), sched,
+        xp, x_tau, x_hat, log, 4, GuidanceConfig(zeta=0.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
 
@@ -343,9 +343,9 @@ def test_guidance_scaled_identity_gradient_formula():
     x_tau = np.array([1.3])
     xp = np.array([0.2])
     zeta = 0.7
+    x_hat = tweedie_denoise(x_tau, tau, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, log, tau, GuidanceConfig(zeta=zeta),
-        make_score_fn(prior, sched), sched,
+        xp, x_tau, x_hat, log, tau, GuidanceConfig(zeta=zeta), sched,
     )
     grad = (2.0 / math.sqrt(abar)) * (math.sqrt(abar) * x_tau[0] - x_obs)
     np.testing.assert_allclose(out, xp - zeta * grad, rtol=1e-12)
@@ -365,8 +365,8 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
     xp = rng.normal(size=3)
     zeta = 0.31
     out = guidance_step(
-        xp, x_tau, log, tau, GuidanceConfig(zeta=zeta, jacobian_mode="exact"),
-        score_fn, sched, hessian_fn=hess_fn,
+        xp, x_tau, tweedie_denoise(x_tau, tau, score_fn, sched), log, tau,
+        GuidanceConfig(zeta=zeta, jacobian_mode="exact"), sched, hessian_fn=hess_fn,
     )
 
     def residual_norm(x):
@@ -388,10 +388,8 @@ def test_guidance_rejects_out_of_range_location():
     log = MeasurementLog()
     log.add(5, [5], [0.1], 0.0)
     with pytest.raises(LocationError):
-        guidance_step(
-            np.zeros(2), np.zeros(2), log, 3, GuidanceConfig(),
-            make_score_fn(prior, sched), sched,
-        )
+        x_hat = tweedie_denoise(np.zeros(2), 3, make_score_fn(prior, sched), sched)
+        guidance_step(np.zeros(2), np.zeros(2), x_hat, log, 3, GuidanceConfig(), sched)
 
 
 # --------------------------------------------- contraction and determinism
@@ -412,7 +410,7 @@ def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
         xh = tweedie_denoise(x, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in rngs])
         xp = ancestral_step(x, xh, tau, z, sched)
-        x = guidance_step(xp, x, log, tau, cfg, score_fn, sched)
+        x = guidance_step(xp, x, xh, log, tau, cfg, sched)
     return x
 
 

@@ -140,7 +140,7 @@ def fresh_state(budget=4):
 
 def consensus_batch(dim=16):
     vals = np.tile(np.linspace(0, 1, dim), (2, 1))
-    return ParticleBatch.of(vals)
+    return ParticleBatch(vals)
 
 
 def choose_in(state, cfg, batch, reward_fn=None, seed=0):
@@ -165,7 +165,7 @@ def test_max_ent_picks_unique_disagreement():
     vals = np.zeros((3, 16))
     vals[0, 7] = 1.0  # particles disagree only at location 7
     state = fresh_state()
-    got, _ = choose_in(state, PolicyConfig(kind="max_ent"), ParticleBatch.of(vals))
+    got, _ = choose_in(state, PolicyConfig(kind="max_ent"), ParticleBatch(vals))
     assert got == 7
 
 
@@ -201,7 +201,7 @@ def split_batch():
     vals = np.zeros((2, 16))
     vals[1, 0] = 1.0
     vals[:, 1] = 0.9
-    return ParticleBatch.of(vals)
+    return ParticleBatch(vals)
 
 
 def patch_value(patches):
@@ -277,7 +277,7 @@ def strip_state(budget=3):
     state = EpisodeState.fresh(scene, budget)
     rng = np.random.default_rng(0)
     for loc in (0, 3):
-        m = measure(scene, loc, rng, step=state.t)
+        m = measure(scene, loc, rng)
         state.apply(m, m.content)
     return state
 
@@ -293,7 +293,7 @@ def test_ucb_prefers_rewarding_neighborhood():
 def test_ucb_bonus_draws_unvisited_regions():
     state = fresh_state(budget=8)
     rng = np.random.default_rng(0)
-    m = measure(state.scene, 15, rng, step=0)
+    m = measure(state.scene, 15, rng)
     state.apply(m, m.content)
     cfg = PolicyConfig(kind="ucb", ucb_c=100.0)
     got = select_from_field(cfg, state, None, np.random.default_rng(1))
@@ -324,16 +324,16 @@ def test_eps_greedy_uniform_when_epsilon_one():
 def test_state_tracks_budget_and_candidates():
     state = fresh_state(budget=2)
     rng = np.random.default_rng(0)
-    m = measure(state.scene, 3, rng, step=0)
+    m = measure(state.scene, 3, rng)
     state.apply(m, m.content)
     assert state.t == 1 and state.budget_left == 1
     assert 3 not in state.candidates
     assert state.r_total == m.y
     assert len(state.dataset) == 1
-    m2 = measure(state.scene, 5, rng, step=1)
+    m2 = measure(state.scene, 5, rng)
     state.apply(m2, m2.content)
     with pytest.raises(ValueError):
-        state.apply(measure(state.scene, 6, rng, step=2), np.zeros(1))
+        state.apply(measure(state.scene, 6, rng), np.zeros(1))
 
 
 def test_no_remeasurement_within_episode():
@@ -345,7 +345,7 @@ def test_no_remeasurement_within_episode():
         loc = select_from_field(cfg, state, None, rng)
         assert loc not in picked
         picked.append(loc)
-        m = measure(state.scene, loc, rng, step=state.t)
+        m = measure(state.scene, loc, rng)
         state.apply(m, m.content)
     assert sorted(picked) == list(range(16))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gridseek.reward import (
+    LEAK,
     LabeledPatch,
     RewardNet,
     bce_loss,
@@ -50,7 +51,7 @@ def straight_line_forward(net, x):
             for i in range(w.shape[0]):
                 s += h[i] * w[i, j]
             if layer < len(net.weights) - 1:
-                s = s if s > 0 else net.leak * s
+                s = s if s > 0 else LEAK * s
             out.append(s)
         h = out
     return 1.0 / (1.0 + math.exp(-h[0]))
@@ -257,19 +258,7 @@ def test_online_training_reaches_high_auc():
     assert rank_auc(scores, held_l) > 0.9
 
 
-# ----------------------------------------------------------- serialization
-
-
-def test_checkpoint_round_trip(tmp_path):
-    net = RewardNet.create(default_layout(4), seed=19)
-    path = tmp_path / "net.json"
-    net.to_json(path)
-    back = RewardNet.from_json(path)
-    assert back.sizes == net.sizes and back.seed == net.seed
-    for w0, w1 in zip(net.weights, back.weights):
-        np.testing.assert_array_equal(w0, w1)
-    x = np.random.default_rng(0).uniform(0, 1, 4)
-    assert predict(back, x) == predict(net, x)
+# --------------------------------------------------------- reproducibility
 
 
 def test_parameter_count_reproducible():
