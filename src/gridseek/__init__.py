@@ -18,7 +18,6 @@ from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField
 from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
-    MeasurementLog,
     NoiseSchedule,
     make_schedule,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "GaussianMixturePrior",
     "GuidanceConfig",
-    "MeasurementLog",
     "NoiseSchedule",
     "ParticleBatch",
     "PolicyConfig",

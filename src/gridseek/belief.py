@@ -69,8 +69,9 @@ class ParticleBatch:
 class BeliefConfig:
     """Belief-mixture variance; the mixture weights its particles equally.
 
-    sigma_x2 only rescales scores; min-max normalization downstream removes
-    the dependence, so the default of 1.0 is rarely worth changing.
+    sigma_x2 only rescales exploration, which min-max normalization undoes,
+    but it also sets the width of the likelihood kernel exp(-d / 2 sigma_x2)
+    and of ``marginal_entropy``, so it changes exploitation-driven picks.
     """
 
     sigma_x2: float = 1.0

@@ -435,10 +435,10 @@ def run_episode(cfg: ExperimentConfig, seed: int,
         x_hat = tweedie_denoise(particles, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in particle_rngs])
         x_prime = ancestral_step(particles, x_hat, tau, z, sched)
-        particles = guidance_step(x_prime, particles, x_hat, state.log, tau, gcfg,
-                                  sched, hessian_fn)
+        particles = guidance_step(x_prime, particles, x_hat, state.cells, state.values,
+                                  tau, gcfg, sched, hessian_fn)
 
-        if tau in schedule_set and state.budget_left > 0 and state.candidates:
+        if tau in schedule_set and state.candidates:
             snapshot = ParticleBatch(to_unit(x_hat))
             reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
             location, field_now = choose(cfg.policy, state, snapshot, cell_table,
@@ -490,6 +490,8 @@ def run_suite(cfg: ExperimentConfig, policies=None, budgets=None, jobs: int = 1)
     The prior and a scene are built once first, with the first seed, so a bad
     scene or prior fails the whole suite before any cell runs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg.validate()
     build_prior_and_scene(cfg, np.random.default_rng(cfg.seeds[0]))
     if policies is None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "NoiseSchedule",
     "GaussianMixturePrior",
     "GuidanceConfig",
-    "MeasurementLog",
     "make_schedule",
     "gmm_log_density",
     "gmm_score",
@@ -156,6 +155,8 @@ class GaussianMixturePrior:
         w, mu, v = self.weights, self.means, self.variances
         if mu.ndim != 2 or w.shape != (mu.shape[0],) or v.shape != (mu.shape[0],):
             raise ValueError("component arrays disagree on K")
+        if not all(np.isfinite(a).all() for a in (w, mu, v)):
+            raise ValueError("weights, means and variances must be finite")
         if np.any(w <= 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1 within 1e-12")
         if np.any(v < 0.0):
@@ -207,15 +208,23 @@ class GaussianMixturePrior:
 
     @classmethod
     def from_json(cls, path) -> "GaussianMixturePrior":
+        """The prior a ``to_json`` file holds; a malformed one raises ValueError naming it."""
         doc = json.loads(Path(path).read_text())
-        comps = doc["components"]
-        prior = cls(
-            np.array([c["weight"] for c in comps], dtype=float),
-            np.array([c["mean"] for c in comps], dtype=float),
-            np.array([c["variance"] for c in comps], dtype=float),
-        )
+        comps = doc.get("components") if isinstance(doc, dict) else None
+        if not (isinstance(comps, list) and comps and "dimension" in doc and all(
+                isinstance(c, dict) and c.keys() >= {"weight", "mean", "variance"} for c in comps)):
+            raise ValueError(f"prior file {path} must be an object with a dimension and a non-empty"
+                             " components list of {weight, mean, variance} objects")
+        try:
+            prior = cls(
+                np.array([c["weight"] for c in comps], dtype=float),
+                np.array([c["mean"] for c in comps], dtype=float),
+                np.array([c["variance"] for c in comps], dtype=float),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"prior file {path}: {exc}") from exc
         if prior.dimension != doc["dimension"]:
-            raise ValueError("dimension field disagrees with component means")
+            raise ValueError(f"prior file {path}: dimension field disagrees with component means")
         return prior
 
 
@@ -236,36 +245,6 @@ class GuidanceConfig:
             raise ValueError(f"zeta must be finite and non-negative, got {self.zeta}")
         if self.jacobian_mode not in ("scaled-identity", "exact"):
             raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
-
-
-@dataclass
-class MeasurementLog:
-    """Ordered record of queried locations and their revealed contents.
-
-    ``indices``/``values`` are flat per-cell arrays, grown by each ``add``, in
-    whatever value space the sampler runs in; callers feeding the guidance
-    step are responsible for mapping revealed contents into that space.
-    ``y_values`` keeps the noiseless target ratio of each query for
-    bookkeeping.
-    """
-
-    locations: list = field(default_factory=list)
-    indices: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    y_values: list = field(default_factory=list)
-
-    def add(self, location, indices, values, y: float) -> None:
-        indices = np.asarray(indices, dtype=int).ravel()
-        values = np.asarray(values, dtype=float).ravel()
-        if indices.shape != values.shape:
-            raise ValueError("indices and values must align")
-        self.locations.append(location)
-        self.indices = np.concatenate((self.indices, indices))
-        self.values = np.concatenate((self.values, values))
-        self.y_values.append(float(y))
-
-    def __len__(self) -> int:
-        return len(self.locations)
 
 
 def _marginal_params(tau: int, prior: GaussianMixturePrior, sched: NoiseSchedule):
@@ -377,7 +356,8 @@ def guidance_step(
     x_prime,
     x_tau,
     x_hat,
-    observed: MeasurementLog,
+    observed_cells: np.ndarray,
+    observed_values: np.ndarray,
     tau: int,
     cfg: GuidanceConfig,
     sched: NoiseSchedule,
@@ -391,21 +371,21 @@ def guidance_step(
     at observed coordinates and zero elsewhere; ``exact`` mode chain-rules
     through the denoiser Jacobian (I + (1 - abar) H) / sqrt(abar) built from
     ``hessian_fn``. Broadcasts over a leading batch axis. ``x_hat`` is the
-    denoised mean of x_tau.
+    denoised mean of x_tau; ``observed_cells`` and ``observed_values`` are
+    aligned flat arrays of cell indices and their contents in sampler space.
     """
     x_prime = np.asarray(x_prime, dtype=float)
-    if len(observed) == 0 or cfg.zeta == 0.0:
+    if observed_cells.size == 0 or cfg.zeta == 0.0:
         return x_prime
     sched._check_tau(tau)
     x_tau = np.asarray(x_tau, dtype=float)
     n = x_tau.shape[-1]
-    idx = observed.indices
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
+    if observed_cells.min() < 0 or observed_cells.max() >= n:
         raise LocationError(f"observed index outside 0..{n - 1}")
 
     abar = sched.alpha_bar[tau - 1]
     residual = np.zeros_like(x_tau)
-    residual[..., idx] = x_hat[..., idx] - observed.values
+    residual[..., observed_cells] = x_hat[..., observed_cells] - observed_values
 
     if cfg.jacobian_mode == "scaled-identity":
         grad = (2.0 / math.sqrt(abar)) * residual

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gridseek.belief import ScoreField
-from gridseek.diffusion import MeasurementLog
 from gridseek.env import Measurement, RepeatMeasurementError, Scene
 from gridseek.reward import LabeledPatch
 
@@ -77,13 +76,18 @@ class PolicyConfig:
 
 @dataclass
 class EpisodeState:
-    """Mutable per-episode bookkeeping: budget, candidates, measurement log."""
+    """The episode's one record of what it has measured and revealed.
+
+    ``cells``/``values`` are flat per-cell arrays in sampler space, grown by
+    each ``apply``; ``dataset`` holds each query's raw contents and y.
+    """
 
     scene: Scene
     budget: int
-    t: int = 0
     candidates: list[int] = field(default_factory=list)
-    log: MeasurementLog = field(default_factory=MeasurementLog)
+    locations: list[int] = field(default_factory=list)
+    cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dataset: list[LabeledPatch] = field(default_factory=list)
     r_total: float = 0.0
 
@@ -95,26 +99,30 @@ class EpisodeState:
                    candidates=list(range(scene.n_locations)))
 
     @property
-    def budget_left(self) -> int:
-        return self.budget - self.t
+    def t(self) -> int:
+        return len(self.locations)
 
     def apply(self, m: Measurement, engine_values: np.ndarray) -> None:
-        """Book a measurement: spend budget, log it, grow the reward dataset.
+        """Book a measurement: spend budget, record its cells, grow the reward dataset.
 
         ``engine_values`` are the revealed contents mapped into the sampler's
-        value space; the raw contents feed the reward dataset unchanged.
-        A location that is no longer a candidate raises RepeatMeasurementError.
+        value space, one per cell; the raw contents feed the reward dataset.
+        A repeated location raises RepeatMeasurementError; a rejected call changes nothing.
         """
         if self.t >= self.budget:
             raise ValueError("budget exhausted")
         if m.location not in self.candidates:
             raise RepeatMeasurementError(f"location {m.location} already measured")
+        cells = self.scene.location_cells(m.location)
+        engine_values = np.asarray(engine_values, dtype=float).ravel()
+        if engine_values.shape != cells.shape:
+            raise ValueError("engine_values must hold one value per cell")
         self.candidates.remove(m.location)
-        self.t += 1
-        self.r_total += m.y
-        self.log.add(m.location, self.scene.location_cells(m.location),
-                     engine_values, m.y)
+        self.locations.append(m.location)
+        self.cells = np.concatenate((self.cells, cells))
+        self.values = np.concatenate((self.values, engine_values))
         self.dataset.append(LabeledPatch(m.content, m.y))
+        self.r_total += m.y
 
 
 def kappa(B: int, t: int, alpha: float = 1.0) -> float:
@@ -163,15 +171,14 @@ def _argmax_with_ties(values: np.ndarray, tie_break: str, rng) -> int:
 def _neighborhood_estimates(state: EpisodeState):
     """Optimistic pseudo-count mean of observed y around each candidate."""
     loc_rows, loc_cols = state.scene.location_shape
-    measured = np.asarray(state.log.locations, dtype=int)
-    ys = np.asarray(state.log.y_values, dtype=float)
+    measured = np.asarray(state.locations, dtype=int)
+    ys = np.array([p.label for p in state.dataset])
     est = np.empty(len(state.candidates))
     counts = np.empty(len(state.candidates), dtype=int)
     mr, mc = measured // loc_cols, measured % loc_cols
     for i, q in enumerate(state.candidates):
         r, c = q // loc_cols, q % loc_cols
-        near = (np.abs(mr - r) <= 1) & (np.abs(mc - c) <= 1) if measured.size else \
-            np.zeros(0, dtype=bool)
+        near = (np.abs(mr - r) <= 1) & (np.abs(mc - c) <= 1)
         n = int(near.sum())
         counts[i] = n
         est[i] = (1.0 + ys[near].sum()) / (1.0 + n)

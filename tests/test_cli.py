@@ -252,3 +252,53 @@ def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path
         assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
         assert named in capsys.readouterr().err, command
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: {"dimension": 36},
+    lambda d: {**d, "components": [{"mean": d["components"][0]["mean"], "variance": 0.01}]},
+    lambda d: {"components": d["components"]},
+    lambda d: {**d, "components": 5},
+    lambda d: [1, 2],
+    lambda d: {**d, "components": [{**d["components"][0], "weight": None}]},
+    lambda d: {**d, "components": [{**d["components"][0],
+                                    "mean": [float("nan")] * 36}]},
+    lambda d: {**d, "components": [{**d["components"][0], "variance": float("nan")}]},
+], ids=["dimension-only", "no-weight", "no-dimension", "components-5", "array",
+        "weight-null", "nan-mean", "nan-variance"])
+def test_malformed_prior_file_exits_1_under_run_and_suite(tmp_path, config_path, capsys,
+                                                          edit):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    prior_path = tmp_path / "prior.json"
+    prior_path.write_text(json.dumps(edit(json.loads(prior_path.read_text()))))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
+        err = capsys.readouterr().err
+        assert "prior" in err and "prior.json" in err, command
+        assert not out.exists(), command
+
+
+def test_dir_prior_with_nan_variance_exits_1(tmp_path, config_path, capsys):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    (tmp_path / "corpus").mkdir()
+    np.savetxt(tmp_path / "corpus" / "a.csv", np.zeros((6, 6)), delimiter=",")
+    doc["prior"] = {"kind": "dir", "path": str(tmp_path / "corpus"), "variance": float("nan")}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
+        assert "prior" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_suite_jobs_below_1_exits_1(tmp_path, config_path, capsys, jobs):
+    out = tmp_path / "results.csv"
+    assert main(["suite", "--config", str(config_path), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not out.exists()

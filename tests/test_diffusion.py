@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
     LocationError,
-    MeasurementLog,
     NoiseSchedule,
     ScheduleError,
     ancestral_step,
@@ -291,30 +291,14 @@ def test_ancestral_final_step_boundary():
 # ----------------------------------------------------------------- guidance
 
 
-def test_measurement_log_concatenates_adds():
-    log = MeasurementLog()
-    assert log.indices.shape == (0,) and log.values.shape == (0,)
-    adds = [(3, [3], [0.5], 1.0), (0, [0, 1, 4, 5], [0.1, 0.2, 0.3, 0.4], 0.25),
-            (7, np.array([[14, 15]]), np.array([[-1.0, 1.0]]), 0.0)]
-    for location, indices, values, y in adds:
-        log.add(location, indices, values, y)
-    np.testing.assert_array_equal(log.indices, [3, 0, 1, 4, 5, 14, 15])
-    np.testing.assert_array_equal(log.values, [0.5, 0.1, 0.2, 0.3, 0.4, -1.0, 1.0])
-    assert log.indices.dtype.kind == "i" and log.values.dtype == float
-    assert log.locations == [3, 0, 7] and log.y_values == [1.0, 0.25, 0.0]
-    assert len(log) == 3
-    with pytest.raises(ValueError):
-        log.add(8, [8, 9], [0.0], 0.0)
-    assert len(log) == 3 and log.indices.size == 7
-
-
 def test_guidance_noop_without_observations():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, MeasurementLog(), 4, GuidanceConfig(zeta=2.0), sched,
+        xp, x_tau, x_hat, np.zeros(0, dtype=int), np.zeros(0), 4,
+        GuidanceConfig(zeta=2.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
 
@@ -322,12 +306,11 @@ def test_guidance_noop_without_observations():
 def test_guidance_noop_with_zero_zeta():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
-    log = MeasurementLog()
-    log.add(0, [0], [0.9], 1.0)
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, log, 4, GuidanceConfig(zeta=0.0), sched,
+        xp, x_tau, x_hat, np.array([0]), np.array([0.9]), 4, GuidanceConfig(zeta=0.0),
+        sched,
     )
     np.testing.assert_array_equal(out, xp)
 
@@ -338,14 +321,13 @@ def test_guidance_scaled_identity_gradient_formula():
     tau = 11
     abar = sched.alpha_bar[tau - 1]
     x_obs = 0.4
-    log = MeasurementLog()
-    log.add(0, [0], [x_obs], 1.0)
     x_tau = np.array([1.3])
     xp = np.array([0.2])
     zeta = 0.7
     x_hat = tweedie_denoise(x_tau, tau, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, log, tau, GuidanceConfig(zeta=zeta), sched,
+        xp, x_tau, x_hat, np.array([0]), np.array([x_obs]), tau,
+        GuidanceConfig(zeta=zeta), sched,
     )
     grad = (2.0 / math.sqrt(abar)) * (math.sqrt(abar) * x_tau[0] - x_obs)
     np.testing.assert_allclose(out, xp - zeta * grad, rtol=1e-12)
@@ -356,22 +338,20 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
     prior = random_prior(rng, 3, 2)
     sched = make_schedule(25)
     tau = 9
-    log = MeasurementLog()
-    log.add(0, [0], [0.3], 0.0)
-    log.add(2, [2], [-0.6], 1.0)
+    cells, values = np.array([0, 2]), np.array([0.3, -0.6])
     score_fn = make_score_fn(prior, sched)
     hess_fn = lambda x, t: gmm_score_hessian(x, t, prior, sched)
     x_tau = rng.normal(size=3)
     xp = rng.normal(size=3)
     zeta = 0.31
     out = guidance_step(
-        xp, x_tau, tweedie_denoise(x_tau, tau, score_fn, sched), log, tau,
+        xp, x_tau, tweedie_denoise(x_tau, tau, score_fn, sched), cells, values, tau,
         GuidanceConfig(zeta=zeta, jacobian_mode="exact"), sched, hessian_fn=hess_fn,
     )
 
     def residual_norm(x):
         xh = tweedie_denoise(x, tau, score_fn, sched)
-        return float(np.sum((log.values - xh[log.indices]) ** 2))
+        return float(np.sum((values - xh[cells]) ** 2))
 
     h = 1e-6
     fd = np.empty(3)
@@ -385,11 +365,10 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
 def test_guidance_rejects_out_of_range_location():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
-    log = MeasurementLog()
-    log.add(5, [5], [0.1], 0.0)
     with pytest.raises(LocationError):
         x_hat = tweedie_denoise(np.zeros(2), 3, make_score_fn(prior, sched), sched)
-        guidance_step(np.zeros(2), np.zeros(2), x_hat, log, 3, GuidanceConfig(), sched)
+        guidance_step(np.zeros(2), np.zeros(2), x_hat, np.array([5]), np.array([0.1]), 3,
+                      GuidanceConfig(), sched)
 
 
 # --------------------------------------------- contraction and determinism
@@ -397,9 +376,7 @@ def test_guidance_rejects_out_of_range_location():
 
 def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
     """All cells observed noiselessly from the start; returns final particles."""
-    log = MeasurementLog()
-    for i, v in enumerate(scene):
-        log.add(i, [i], [v], 0.0)
+    cells, values = np.arange(scene.size), np.asarray(scene, dtype=float)
     children = np.random.SeedSequence(seed).spawn(n_particles)
     rngs = [np.random.default_rng(c) for c in children]
     dim = scene.size
@@ -410,7 +387,7 @@ def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
         xh = tweedie_denoise(x, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in rngs])
         xp = ancestral_step(x, xh, tau, z, sched)
-        x = guidance_step(xp, x, xh, log, tau, cfg, sched)
+        x = guidance_step(xp, x, xh, cells, values, tau, cfg, sched)
     return x
 
 
@@ -462,6 +439,44 @@ def test_prior_weight_validation():
         GaussianMixturePrior(
             np.array([0.5, 0.6]), np.zeros((2, 2)), np.array([1.0, 1.0])
         )
+
+
+@pytest.mark.parametrize("which,value", [
+    ("weights", math.nan), ("means", math.nan), ("means", math.inf), ("variances", math.nan),
+])
+def test_prior_rejects_non_finite_components(which, value):
+    arrays = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+              "variances": np.array([1.0, 1.0])}
+    arrays[which].flat[0] = value
+    with pytest.raises(ValueError, match="finite"):
+        GaussianMixturePrior(**arrays)
+
+
+def prior_doc():
+    return {"components": [{"weight": 1.0, "mean": [0.0, 1.0], "variance": 0.5}],
+            "dimension": 2}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: [1, 2],
+    lambda d: {"dimension": 2},
+    lambda d: {**d, "components": 5},
+    lambda d: {**d, "components": []},
+    lambda d: {**d, "components": [7]},
+    lambda d: {"components": d["components"]},
+    lambda d: {**d, "components": [{"mean": [0.0, 1.0], "variance": 0.5}]},
+    lambda d: {**d, "components": [{"weight": None, "mean": [0.0, 1.0], "variance": 0.5}]},
+    lambda d: {**d, "components": [{"weight": 1.0, "mean": [math.nan, 1.0], "variance": 0.5}]},
+    lambda d: {**d, "components": [{"weight": 1.0, "mean": [0.0, 1.0], "variance": math.nan}]},
+    lambda d: {**d, "dimension": 3},
+], ids=["array", "no-components", "components-5", "components-empty", "component-7",
+        "no-dimension", "no-weight", "weight-null", "nan-mean", "nan-variance",
+        "wrong-dimension"])
+def test_prior_from_json_names_file_of_malformed_document(tmp_path, edit):
+    path = tmp_path / "bad-prior.json"
+    path.write_text(json.dumps(edit(prior_doc())))
+    with pytest.raises(ValueError, match="bad-prior.json"):
+        GaussianMixturePrior.from_json(path)
 
 
 def test_prior_affine_transform():

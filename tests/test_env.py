@@ -104,7 +104,7 @@ def test_repeat_measurement_rejected():
     state.apply(m, m.content)
     with pytest.raises(RepeatMeasurementError):
         state.apply(m, m.content)
-    assert state.t == 1 and len(state.log) == 1
+    assert state.locations == [1] and state.budget - state.t == 3
 
 
 def test_out_of_range_location():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField
 from gridseek.bench import choose
-from gridseek.env import Scene, measure
+from gridseek.env import RepeatMeasurementError, Scene, measure
 from gridseek.policy import (
     POLICY_KINDS,
     EpisodeState,
@@ -208,6 +208,17 @@ def patch_value(patches):
     return patches[:, 0]
 
 
+def spent_state():
+    """Budget 4 spent away from locations 0 and 1, left as the only candidates."""
+    state = fresh_state(budget=4)
+    rng = np.random.default_rng(0)
+    for loc in (2, 3, 4, 5):
+        m = measure(state.scene, loc, rng)
+        state.apply(m, m.content)
+    state.candidates = [0, 1]
+    return state
+
+
 def test_diffatd_uses_kappa_schedule():
     state = fresh_state(budget=4)
     state.candidates = [0, 1]
@@ -216,8 +227,7 @@ def test_diffatd_uses_kappa_schedule():
     got, f = choose_in(state, cfg, split_batch(), patch_value)
     assert got == 0
     np.testing.assert_allclose(f.combined, [1.0, 0.0])
-    state.t = 4
-    state.budget = 4
+    state = spent_state()
     # t=B -> kappa=0 -> exploitation argmax
     got, f = choose_in(state, cfg, split_batch(), patch_value)
     assert got == 1
@@ -225,9 +235,8 @@ def test_diffatd_uses_kappa_schedule():
 
 
 def test_kappa_override_pins_mixing():
-    state = fresh_state(budget=4)
-    state.t = 4
-    state.candidates = [0, 1]
+    state = spent_state()
+    assert state.t == 4
     # unpinned, kappa(4, 4) = 0 picks the exploitation argmax
     got, f = choose_in(state, PolicyConfig(kind="diffatd"), split_batch(), patch_value)
     assert got == 1
@@ -326,7 +335,7 @@ def test_state_tracks_budget_and_candidates():
     rng = np.random.default_rng(0)
     m = measure(state.scene, 3, rng)
     state.apply(m, m.content)
-    assert state.t == 1 and state.budget_left == 1
+    assert state.locations == [3] and state.budget - state.t == 1
     assert 3 not in state.candidates
     assert state.r_total == m.y
     assert len(state.dataset) == 1
@@ -334,6 +343,82 @@ def test_state_tracks_budget_and_candidates():
     state.apply(m2, m2.content)
     with pytest.raises(ValueError):
         state.apply(measure(state.scene, 6, rng), np.zeros(1))
+
+
+def record_of(state):
+    """A copy of everything ``apply`` may change."""
+    return (list(state.candidates), list(state.locations), state.cells.copy(),
+            state.values.copy(), len(state.dataset), state.r_total)
+
+
+def assert_record_equal(a, b):
+    assert a[:2] == b[:2] and a[4:] == b[4:]
+    np.testing.assert_array_equal(a[2], b[2])
+    np.testing.assert_array_equal(a[3], b[3])
+
+
+def test_state_record_concatenates_applies():
+    scene = Scene(grid=np.linspace(0.0, 1.0, 16), y=np.zeros(16), shape=(4, 4), block=2)
+    state = EpisodeState.fresh(scene, budget=4)
+    assert state.cells.shape == (0,) and state.values.shape == (0,)
+    applies = [(3, [0.5, 0.6, 0.7, 0.8]), (0, np.array([[0.1, 0.2], [0.3, 0.4]])),
+               (2, np.array([-1.0, 1.0, 0.0, 0.25]))]
+    for location, values in applies:
+        state.apply(measure(scene, location, None), values)
+    np.testing.assert_array_equal(state.cells, [10, 11, 14, 15, 0, 1, 4, 5, 8, 9, 12, 13])
+    np.testing.assert_array_equal(
+        state.values, [0.5, 0.6, 0.7, 0.8, 0.1, 0.2, 0.3, 0.4, -1.0, 1.0, 0.0, 0.25])
+    assert state.cells.dtype.kind == "i" and state.values.dtype == float
+    assert state.locations == [3, 0, 2] and state.t == 3
+    assert [p.label for p in state.dataset] == [0.0, 0.0, 0.0]
+    before = record_of(state)
+    with pytest.raises(ValueError, match="one value per cell"):
+        state.apply(measure(scene, 1, None), [0.0])
+    assert_record_equal(record_of(state), before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), block=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_episode_state_record_fuzz(data, block, seed):
+    """Accepted applies grow the record in order; rejected ones leave it unchanged."""
+    rows, cols = (block * data.draw(st.integers(1, 6 // block)) for _ in range(2))
+    rng = np.random.default_rng(seed)
+    grid = rng.uniform(0.0, 1.0, rows * cols)
+    scene = Scene(grid=grid, y=(grid > 0.5).astype(float), shape=(rows, cols), block=block)
+    n_loc = scene.n_locations
+    budget = data.draw(st.integers(1, n_loc + 2))
+    steps = data.draw(st.lists(st.tuples(st.integers(0, n_loc - 1),
+                                         st.sampled_from([0, 0, 0, -1, 1])), max_size=12))
+    state = EpisodeState.fresh(scene, budget)
+    cells, values, total = [], [], 0.0
+    for q, misalign in steps:
+        m = measure(scene, q, rng)
+        engine = rng.uniform(-1.0, 1.0, block * block + misalign)
+        before = record_of(state)
+        if state.t >= budget:
+            error, match = ValueError, "budget exhausted"
+        elif q in state.locations:
+            error, match = RepeatMeasurementError, "already measured"
+        elif misalign:
+            error, match = ValueError, "one value per cell"
+        else:
+            state.apply(m, engine)
+            cells.extend(scene.location_cells(q))
+            values.extend(engine)
+            total += m.y
+            assert state.locations == before[1] + [q]
+            np.testing.assert_array_equal(state.cells, cells)
+            np.testing.assert_array_equal(state.values, values)
+            assert state.r_total == total
+            error = None
+        if error is not None:
+            with pytest.raises(error, match=match):
+                state.apply(m, engine)
+            assert_record_equal(record_of(state), before)
+        assert not set(state.candidates) & set(state.locations)
+        assert sorted(state.candidates + state.locations) == list(range(n_loc))
+        assert state.t == len(state.locations) <= budget
+        assert state.cells.dtype.kind == "i" and state.values.dtype == float
 
 
 def test_no_remeasurement_within_episode():
