@@ -298,8 +298,8 @@ def build_unit_prior(cfg: ExperimentConfig) -> GaussianMixturePrior:
     spec = cfg.prior  # its kind and path are checked by ExperimentConfig.validate
     if spec["kind"] == "json":
         return GaussianMixturePrior.from_json(spec["path"])
-    grids = load_grid_dir(spec["path"])
-    return GaussianMixturePrior.from_grids(grids, float(spec.get("variance", 1e-3)))
+    variance = read_value(float, spec.get("variance", 1e-3), "prior.variance")
+    return GaussianMixturePrior.from_grids(load_grid_dir(spec["path"]), variance)
 
 
 def build_scene(cfg: ExperimentConfig, prior_unit: GaussianMixturePrior,
@@ -435,8 +435,10 @@ def run_episode(cfg: ExperimentConfig, seed: int,
         x_hat = tweedie_denoise(particles, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in particle_rngs])
         x_prime = ancestral_step(particles, x_hat, tau, z, sched)
-        particles = guidance_step(x_prime, particles, x_hat, state.cells, state.values,
+        particles = guidance_step(x_prime, particles, x_hat, state.observed, state.values,
                                   tau, gcfg, sched, hessian_fn)
+        if not np.isfinite(particles).all():
+            raise FloatingPointError(f"particles went non-finite at tau={tau} (zeta={cfg.zeta})")
 
         if tau in schedule_set and state.candidates:
             snapshot = ParticleBatch(to_unit(x_hat))

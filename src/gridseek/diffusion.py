@@ -51,10 +51,6 @@ class ScheduleError(ValueError):
     """Raised when noise-schedule parameters are out of range."""
 
 
-class LocationError(IndexError):
-    """Raised for observation indices outside the state dimension."""
-
-
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step constants of the discretized forward/reverse process.
@@ -209,7 +205,10 @@ class GaussianMixturePrior:
     @classmethod
     def from_json(cls, path) -> "GaussianMixturePrior":
         """The prior a ``to_json`` file holds; a malformed one raises ValueError naming it."""
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise ValueError(f"prior file {path}: {exc}") from exc
         comps = doc.get("components") if isinstance(doc, dict) else None
         if not (isinstance(comps, list) and comps and "dimension" in doc and all(
                 isinstance(c, dict) and c.keys() >= {"weight", "mean", "variance"} for c in comps)):
@@ -356,7 +355,7 @@ def guidance_step(
     x_prime,
     x_tau,
     x_hat,
-    observed_cells: np.ndarray,
+    observed: np.ndarray,
     observed_values: np.ndarray,
     tau: int,
     cfg: GuidanceConfig,
@@ -371,21 +370,20 @@ def guidance_step(
     at observed coordinates and zero elsewhere; ``exact`` mode chain-rules
     through the denoiser Jacobian (I + (1 - abar) H) / sqrt(abar) built from
     ``hessian_fn``. Broadcasts over a leading batch axis. ``x_hat`` is the
-    denoised mean of x_tau; ``observed_cells`` and ``observed_values`` are
-    aligned flat arrays of cell indices and their contents in sampler space.
+    denoised mean of x_tau; ``observed`` is an (N,) mask of revealed cells
+    and ``observed_values`` an (N,) array of their contents in sampler space.
     """
     x_prime = np.asarray(x_prime, dtype=float)
-    if observed_cells.size == 0 or cfg.zeta == 0.0:
-        return x_prime
-    sched._check_tau(tau)
     x_tau = np.asarray(x_tau, dtype=float)
     n = x_tau.shape[-1]
-    if observed_cells.min() < 0 or observed_cells.max() >= n:
-        raise LocationError(f"observed index outside 0..{n - 1}")
+    if observed.shape != (n,) or observed_values.shape != (n,):
+        raise ValueError(f"observed mask and values must have shape ({n},)")
+    if not observed.any() or cfg.zeta == 0.0:
+        return x_prime
+    sched._check_tau(tau)
 
     abar = sched.alpha_bar[tau - 1]
-    residual = np.zeros_like(x_tau)
-    residual[..., observed_cells] = x_hat[..., observed_cells] - observed_values
+    residual = np.where(observed, x_hat - observed_values, 0.0)
 
     if cfg.jacobian_mode == "scaled-identity":
         grad = (2.0 / math.sqrt(abar)) * residual

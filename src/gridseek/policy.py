@@ -78,16 +78,17 @@ class PolicyConfig:
 class EpisodeState:
     """The episode's one record of what it has measured and revealed.
 
-    ``cells``/``values`` are flat per-cell arrays in sampler space, grown by
-    each ``apply``; ``dataset`` holds each query's raw contents and y.
+    ``observed`` is an (N,) mask of revealed cells and ``values`` their
+    contents in sampler space (zero elsewhere), written by each ``apply``;
+    ``dataset`` holds each query's raw contents and y.
     """
 
     scene: Scene
     budget: int
+    observed: np.ndarray
+    values: np.ndarray
     candidates: list[int] = field(default_factory=list)
     locations: list[int] = field(default_factory=list)
-    cells: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
-    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dataset: list[LabeledPatch] = field(default_factory=list)
     r_total: float = 0.0
 
@@ -95,15 +96,15 @@ class EpisodeState:
     def fresh(cls, scene: Scene, budget: int) -> "EpisodeState":
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        return cls(scene=scene, budget=budget,
-                   candidates=list(range(scene.n_locations)))
+        return cls(scene=scene, budget=budget, observed=np.zeros(scene.n_cells, dtype=bool),
+                   values=np.zeros(scene.n_cells), candidates=list(range(scene.n_locations)))
 
     @property
     def t(self) -> int:
         return len(self.locations)
 
     def apply(self, m: Measurement, engine_values: np.ndarray) -> None:
-        """Book a measurement: spend budget, record its cells, grow the reward dataset.
+        """Book a measurement: spend budget, mark its cells revealed, grow the reward dataset.
 
         ``engine_values`` are the revealed contents mapped into the sampler's
         value space, one per cell; the raw contents feed the reward dataset.
@@ -119,8 +120,8 @@ class EpisodeState:
             raise ValueError("engine_values must hold one value per cell")
         self.candidates.remove(m.location)
         self.locations.append(m.location)
-        self.cells = np.concatenate((self.cells, cells))
-        self.values = np.concatenate((self.values, engine_values))
+        self.observed[cells] = True
+        self.values[cells] = engine_values
         self.dataset.append(LabeledPatch(m.content, m.y))
         self.r_total += m.y
 
@@ -169,20 +170,19 @@ def _argmax_with_ties(values: np.ndarray, tie_break: str, rng) -> int:
 
 
 def _neighborhood_estimates(state: EpisodeState):
-    """Optimistic pseudo-count mean of observed y around each candidate."""
-    loc_rows, loc_cols = state.scene.location_shape
-    measured = np.asarray(state.locations, dtype=int)
-    ys = np.array([p.label for p in state.dataset])
-    est = np.empty(len(state.candidates))
-    counts = np.empty(len(state.candidates), dtype=int)
-    mr, mc = measured // loc_cols, measured % loc_cols
-    for i, q in enumerate(state.candidates):
-        r, c = q // loc_cols, q % loc_cols
-        near = (np.abs(mr - r) <= 1) & (np.abs(mc - c) <= 1)
-        n = int(near.sum())
-        counts[i] = n
-        est[i] = (1.0 + ys[near].sum()) / (1.0 + n)
-    return est, counts
+    """Optimistic pseudo-count mean of observed y around each candidate.
+
+    The measured-y and count maps are summed over each 3x3 neighbourhood
+    (nine shifted slices of the zero-padded maps) and read at the candidates.
+    """
+    rows, cols = state.scene.location_shape
+    maps = np.zeros((2, rows * cols))
+    maps[0, state.locations] = [p.label for p in state.dataset]
+    maps[1, state.locations] = 1.0
+    padded = np.pad(maps.reshape(2, rows, cols), ((0, 0), (1, 1), (1, 1)))
+    sums = sum(padded[:, i:i + rows, j:j + cols] for i in range(3) for j in range(3))
+    y_sum, counts = sums.reshape(2, -1)[:, state.candidates]
+    return (1.0 + y_sum) / (1.0 + counts), counts.astype(int)
 
 
 def select_from_field(

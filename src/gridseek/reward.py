@@ -103,7 +103,8 @@ def _forward(net: RewardNet, X: np.ndarray):
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, evaluated on the side of zero where exp cannot overflow."""
-    return np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _as_matrix(net: RewardNet, patch) -> tuple[np.ndarray, bool]:

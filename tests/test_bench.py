@@ -200,6 +200,13 @@ def test_bandit_policies_run_end_to_end():
         assert res.wall_time > 0.0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+def test_non_finite_particles_raise_with_tau():
+    cfg = replace(default_benchmark_config(), zeta=1000.0, budget=8)
+    with pytest.raises(FloatingPointError, match=r"tau=67 \(zeta=1000.0\)"):
+        run_episode(cfg, seed=1)
+
+
 def test_exact_jacobian_mode_runs():
     cfg = tiny_cfg(jacobian_mode="exact", budget=3,
                    schedule=ScheduleSpec(steps=12))

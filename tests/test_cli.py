@@ -302,3 +302,43 @@ def test_suite_jobs_below_1_exits_1(tmp_path, config_path, capsys, jobs):
                  "--jobs", jobs]) == 1
     assert "jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variance", [None, "0.01", True])
+def test_dir_prior_variance_of_wrong_type_exits_1(tmp_path, config_path, capsys, variance):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    (tmp_path / "corpus").mkdir()
+    np.savetxt(tmp_path / "corpus" / "a.csv", np.zeros((6, 6)), delimiter=",")
+    doc["prior"] = {"kind": "dir", "path": str(tmp_path / "corpus"), "variance": variance}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
+        assert "prior.variance" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+def test_prior_file_that_is_not_json_exits_1_naming_it(tmp_path, config_path, capsys):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    (tmp_path / "prior.json").write_text("{not json")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1, command
+        assert "prior.json" in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+def test_non_finite_particles_exit_2_under_run_and_suite(tmp_path, capsys):
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({"zeta": 1000, "budget": 8, "seeds": [1]}))
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    assert "tau=67" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "suite.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED policy=diffatd B=8 seed=1" in err and "tau=67" in err

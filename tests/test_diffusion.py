@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
-    LocationError,
     NoiseSchedule,
     ScheduleError,
     ancestral_step,
@@ -291,13 +290,20 @@ def test_ancestral_final_step_boundary():
 # ----------------------------------------------------------------- guidance
 
 
+def as_mask(cells, values, n):
+    """The (n,) observed mask and dense values that aligned cells/values arrays describe."""
+    observed, dense = np.zeros(n, dtype=bool), np.zeros(n)
+    observed[cells], dense[cells] = True, values
+    return observed, dense
+
+
 def test_guidance_noop_without_observations():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, np.zeros(0, dtype=int), np.zeros(0), 4,
+        xp, x_tau, x_hat, np.zeros(2, dtype=bool), np.zeros(2), 4,
         GuidanceConfig(zeta=2.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
@@ -309,8 +315,8 @@ def test_guidance_noop_with_zero_zeta():
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, np.array([0]), np.array([0.9]), 4, GuidanceConfig(zeta=0.0),
-        sched,
+        xp, x_tau, x_hat, np.array([True, False]), np.array([0.9, 0.0]), 4,
+        GuidanceConfig(zeta=0.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
 
@@ -326,7 +332,7 @@ def test_guidance_scaled_identity_gradient_formula():
     zeta = 0.7
     x_hat = tweedie_denoise(x_tau, tau, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, np.array([0]), np.array([x_obs]), tau,
+        xp, x_tau, x_hat, np.array([True]), np.array([x_obs]), tau,
         GuidanceConfig(zeta=zeta), sched,
     )
     grad = (2.0 / math.sqrt(abar)) * (math.sqrt(abar) * x_tau[0] - x_obs)
@@ -339,13 +345,14 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
     sched = make_schedule(25)
     tau = 9
     cells, values = np.array([0, 2]), np.array([0.3, -0.6])
+    observed, dense = as_mask(cells, values, 3)
     score_fn = make_score_fn(prior, sched)
     hess_fn = lambda x, t: gmm_score_hessian(x, t, prior, sched)
     x_tau = rng.normal(size=3)
     xp = rng.normal(size=3)
     zeta = 0.31
     out = guidance_step(
-        xp, x_tau, tweedie_denoise(x_tau, tau, score_fn, sched), cells, values, tau,
+        xp, x_tau, tweedie_denoise(x_tau, tau, score_fn, sched), observed, dense, tau,
         GuidanceConfig(zeta=zeta, jacobian_mode="exact"), sched, hessian_fn=hess_fn,
     )
 
@@ -365,10 +372,48 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
 def test_guidance_rejects_out_of_range_location():
     sched = make_schedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
-    with pytest.raises(LocationError):
+    with pytest.raises(ValueError, match="shape"):
         x_hat = tweedie_denoise(np.zeros(2), 3, make_score_fn(prior, sched), sched)
-        guidance_step(np.zeros(2), np.zeros(2), x_hat, np.array([5]), np.array([0.1]), 3,
-                      GuidanceConfig(), sched)
+        guidance_step(np.zeros(2), np.zeros(2), x_hat, np.array([False, False, True]),
+                      np.array([0.0, 0.0, 0.1]), 3, GuidanceConfig(), sched)
+
+
+
+def guidance_by_index(x_prime, x_tau, x_hat, cells, values, tau, cfg, sched, hessian_fn):
+    """Guidance from aligned cell-index and value arrays: the mask form's reference."""
+    abar = sched.alpha_bar[tau - 1]
+    residual = np.zeros_like(x_tau)
+    residual[..., cells] = x_hat[..., cells] - values
+    if cfg.jacobian_mode == "scaled-identity":
+        grad = (2.0 / math.sqrt(abar)) * residual
+    else:
+        n = x_tau.shape[-1]
+        grad = np.empty_like(x_tau)
+        for i in np.ndindex(x_tau.shape[:-1]):
+            jac = (np.eye(n) + (1.0 - abar) * hessian_fn(x_tau[i], tau)) / math.sqrt(abar)
+            grad[i] = 2.0 * (jac @ residual[i])
+    return x_prime - cfg.zeta * grad
+
+
+@pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
+def test_guidance_mask_form_matches_index_form(mode):
+    rng = np.random.default_rng(8)
+    n = 9
+    prior = random_prior(rng, n, 3)
+    sched = make_schedule(40)
+    score_fn = make_score_fn(prior, sched)
+    hess_fn = lambda x, t: gmm_score_hessian(x, t, prior, sched)
+    cfg = GuidanceConfig(zeta=0.4, jacobian_mode=mode)
+    for batch in [(), (4,), (), (4,), (2, 3)]:
+        cells = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)  # any order
+        values = rng.uniform(-1.0, 1.0, cells.size)
+        observed, dense = as_mask(cells, values, n)
+        tau = int(rng.integers(1, sched.T + 1))
+        x_tau, xp = rng.normal(size=(*batch, n)), rng.normal(size=(*batch, n))
+        xh = tweedie_denoise(x_tau, tau, score_fn, sched)
+        got = guidance_step(xp, x_tau, xh, observed, dense, tau, cfg, sched, hess_fn)
+        want = guidance_by_index(xp, x_tau, xh, cells, values, tau, cfg, sched, hess_fn)
+        assert np.array_equal(got, want)
 
 
 # --------------------------------------------- contraction and determinism
@@ -376,7 +421,7 @@ def test_guidance_rejects_out_of_range_location():
 
 def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
     """All cells observed noiselessly from the start; returns final particles."""
-    cells, values = np.arange(scene.size), np.asarray(scene, dtype=float)
+    observed, values = np.ones(scene.size, dtype=bool), np.asarray(scene, dtype=float)
     children = np.random.SeedSequence(seed).spawn(n_particles)
     rngs = [np.random.default_rng(c) for c in children]
     dim = scene.size
@@ -387,7 +432,7 @@ def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
         xh = tweedie_denoise(x, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in rngs])
         xp = ancestral_step(x, xh, tau, z, sched)
-        x = guidance_step(xp, x, xh, cells, values, tau, cfg, sched)
+        x = guidance_step(xp, x, xh, observed, values, tau, cfg, sched)
     return x
 
 
@@ -476,6 +521,15 @@ def test_prior_from_json_names_file_of_malformed_document(tmp_path, edit):
     path = tmp_path / "bad-prior.json"
     path.write_text(json.dumps(edit(prior_doc())))
     with pytest.raises(ValueError, match="bad-prior.json"):
+        GaussianMixturePrior.from_json(path)
+
+
+@pytest.mark.parametrize("raw", [b"{not json", b"", b"\xff\xfe{}"],
+                         ids=["not-json", "empty", "not-utf8"])
+def test_prior_from_json_names_file_it_cannot_parse(tmp_path, raw):
+    path = tmp_path / "bad-prior.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="prior file .*bad-prior.json"):
         GaussianMixturePrior.from_json(path)
 
 

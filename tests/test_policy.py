@@ -13,12 +13,13 @@ from gridseek.policy import (
     EpisodeState,
     ExhaustedCandidatesError,
     PolicyConfig,
+    _neighborhood_estimates,
     build_measurement_schedule,
     combined_score,
     kappa,
     select_from_field,
 )
-from gridseek.reward import RewardNet, default_layout, predict
+from gridseek.reward import LabeledPatch, RewardNet, default_layout, predict
 
 BCFG = BeliefConfig()
 
@@ -327,6 +328,49 @@ def test_eps_greedy_uniform_when_epsilon_one():
     assert len(seen) > 8  # spread over the grid, not locked to one argmax
 
 
+def neighborhood_by_loop(state):
+    """The bandit estimate as a loop over candidates: the box-sum's reference."""
+    loc_cols = state.scene.location_shape[1]
+    measured = np.asarray(state.locations, dtype=int)
+    ys = np.array([p.label for p in state.dataset])
+    est = np.empty(len(state.candidates))
+    counts = np.empty(len(state.candidates), dtype=int)
+    mr, mc = measured // loc_cols, measured % loc_cols
+    for i, q in enumerate(state.candidates):
+        r, c = q // loc_cols, q % loc_cols
+        near = (np.abs(mr - r) <= 1) & (np.abs(mc - c) <= 1)
+        counts[i] = int(near.sum())
+        est[i] = (1.0 + ys[near].sum()) / (1.0 + counts[i])
+    return est, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 6),
+       block=st.integers(1, 2), dyadic=st.booleans())
+def test_neighborhood_estimates_match_candidate_loop(data, rows, cols, block, dyadic):
+    """Counts and dyadic y sums are exact; other y differ only in summation order."""
+    n_loc = rows * cols
+    order = data.draw(st.permutations(range(n_loc)))
+    n_measured = data.draw(st.integers(0, n_loc - 1))
+    candidates = data.draw(st.lists(st.sampled_from(order[n_measured:]), min_size=1, unique=True))
+    label = st.integers(0, 8).map(lambda k: k / 8) if dyadic else st.floats(0.0, 1.0)
+    labels = data.draw(st.lists(label, min_size=n_measured, max_size=n_measured))
+    n_cells = n_loc * block * block
+    scene = Scene(grid=np.zeros(n_cells), y=np.zeros(n_cells),
+                  shape=(rows * block, cols * block), block=block)
+    state = EpisodeState.fresh(scene, budget=n_loc)
+    state.locations = list(order[:n_measured])
+    state.dataset = [LabeledPatch(np.zeros(block * block), y) for y in labels]
+    state.candidates = candidates
+    est, counts = _neighborhood_estimates(state)
+    want_est, want_counts = neighborhood_by_loop(state)
+    np.testing.assert_array_equal(counts, want_counts)
+    if dyadic:
+        np.testing.assert_array_equal(est, want_est)
+    else:
+        np.testing.assert_allclose(est, want_est, rtol=1e-14, atol=0.0)
+
+
 # ------------------------------------------------------------ episode state
 
 
@@ -347,7 +391,7 @@ def test_state_tracks_budget_and_candidates():
 
 def record_of(state):
     """A copy of everything ``apply`` may change."""
-    return (list(state.candidates), list(state.locations), state.cells.copy(),
+    return (list(state.candidates), list(state.locations), state.observed.copy(),
             state.values.copy(), len(state.dataset), state.r_total)
 
 
@@ -360,15 +404,18 @@ def assert_record_equal(a, b):
 def test_state_record_concatenates_applies():
     scene = Scene(grid=np.linspace(0.0, 1.0, 16), y=np.zeros(16), shape=(4, 4), block=2)
     state = EpisodeState.fresh(scene, budget=4)
-    assert state.cells.shape == (0,) and state.values.shape == (0,)
+    assert state.observed.shape == (16,) and not state.observed.any()
+    np.testing.assert_array_equal(state.values, np.zeros(16))
     applies = [(3, [0.5, 0.6, 0.7, 0.8]), (0, np.array([[0.1, 0.2], [0.3, 0.4]])),
                (2, np.array([-1.0, 1.0, 0.0, 0.25]))]
     for location, values in applies:
         state.apply(measure(scene, location, None), values)
-    np.testing.assert_array_equal(state.cells, [10, 11, 14, 15, 0, 1, 4, 5, 8, 9, 12, 13])
+    np.testing.assert_array_equal(np.flatnonzero(state.observed),
+                                  [0, 1, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15])
     np.testing.assert_array_equal(
-        state.values, [0.5, 0.6, 0.7, 0.8, 0.1, 0.2, 0.3, 0.4, -1.0, 1.0, 0.0, 0.25])
-    assert state.cells.dtype.kind == "i" and state.values.dtype == float
+        state.values, [0.1, 0.2, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0,
+                       -1.0, 1.0, 0.5, 0.6, 0.0, 0.25, 0.7, 0.8])
+    assert state.observed.dtype == bool and state.values.dtype == float
     assert state.locations == [3, 0, 2] and state.t == 3
     assert [p.label for p in state.dataset] == [0.0, 0.0, 0.0]
     before = record_of(state)
@@ -380,7 +427,7 @@ def test_state_record_concatenates_applies():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), block=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_episode_state_record_fuzz(data, block, seed):
-    """Accepted applies grow the record in order; rejected ones leave it unchanged."""
+    """Accepted applies write their cells into the record; rejected ones leave it unchanged."""
     rows, cols = (block * data.draw(st.integers(1, 6 // block)) for _ in range(2))
     rng = np.random.default_rng(seed)
     grid = rng.uniform(0.0, 1.0, rows * cols)
@@ -390,7 +437,7 @@ def test_episode_state_record_fuzz(data, block, seed):
     steps = data.draw(st.lists(st.tuples(st.integers(0, n_loc - 1),
                                          st.sampled_from([0, 0, 0, -1, 1])), max_size=12))
     state = EpisodeState.fresh(scene, budget)
-    cells, values, total = [], [], 0.0
+    observed, values, total = np.zeros(scene.n_cells, dtype=bool), np.zeros(scene.n_cells), 0.0
     for q, misalign in steps:
         m = measure(scene, q, rng)
         engine = rng.uniform(-1.0, 1.0, block * block + misalign)
@@ -403,11 +450,11 @@ def test_episode_state_record_fuzz(data, block, seed):
             error, match = ValueError, "one value per cell"
         else:
             state.apply(m, engine)
-            cells.extend(scene.location_cells(q))
-            values.extend(engine)
+            observed[scene.location_cells(q)] = True
+            values[scene.location_cells(q)] = engine
             total += m.y
             assert state.locations == before[1] + [q]
-            np.testing.assert_array_equal(state.cells, cells)
+            np.testing.assert_array_equal(state.observed, observed)
             np.testing.assert_array_equal(state.values, values)
             assert state.r_total == total
             error = None
@@ -418,7 +465,7 @@ def test_episode_state_record_fuzz(data, block, seed):
         assert not set(state.candidates) & set(state.locations)
         assert sorted(state.candidates + state.locations) == list(range(n_loc))
         assert state.t == len(state.locations) <= budget
-        assert state.cells.dtype.kind == "i" and state.values.dtype == float
+        assert state.observed.dtype == bool and state.values.dtype == float
 
 
 def test_no_remeasurement_within_episode():

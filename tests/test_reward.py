@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gridseek.reward import (
     LEAK,
     LabeledPatch,
     RewardNet,
+    _sigmoid,
     bce_loss,
     deep_layout,
     default_layout,
@@ -272,3 +274,13 @@ def test_parameter_count_reproducible():
 def test_labeled_patch_validation():
     with pytest.raises(ValueError):
         LabeledPatch(np.zeros(1), 1.5)
+
+
+def test_sigmoid_saturates_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _sigmoid(np.array([-800.0, -0.0, 0.0, 800.0]))
+    np.testing.assert_array_equal(out, [0.0, 0.5, 0.5, 1.0])
+    z = np.random.default_rng(4).normal(0.0, 30.0, 10_000)  # |z| < 709: no overflow below
+    both = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    assert np.array_equal(_sigmoid(z), both)
