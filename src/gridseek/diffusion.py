@@ -119,6 +119,8 @@ def make_schedule(
         raise ScheduleError(f"unknown curve {curve!r}")
 
     alpha = 1.0 - beta
+    if np.any(alpha == 1.0):  # abar_tau = 1 leaves 1 - abar_tau = 0 to divide by
+        raise ScheduleError(f"beta {beta.min()} is too small: 1 - beta rounds to 1")
     alpha_bar = np.cumprod(alpha)
 
     if sigma_mode == "posterior":

@@ -77,6 +77,7 @@ def test_cosine_schedule_valid():
         dict(T=5, beta_min=0.3, beta_max=0.2),
         dict(T=5, beta_max=1.0),
         dict(T=5, curve="geometric"),
+        dict(T=5, beta_min=1e-300),
     ],
 )
 def test_schedule_rejects_bad_ranges(kwargs):
