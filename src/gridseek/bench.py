@@ -244,11 +244,19 @@ class ExperimentConfig:
         _build("budget", build_measurement_schedule, self.schedule.steps, self.budget)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ConfigError("seeds must be a nonempty list of distinct non-negative integers")
+        if self.scene.kind == "blobs" and self.prior is not None:
+            raise ConfigError("prior: blobs scenes build their own prior; drop this section")
         if self.scene.kind == "file" and not (
             isinstance(self.prior, dict) and self.prior.get("kind") in ("json", "dir")
             and isinstance(self.prior.get("path"), str)
         ):
             raise ConfigError("file scenes need prior = {kind: 'json' or 'dir', path: string}")
+        if self.prior is not None:  # a file scene's, so its kind is json or dir
+            kind = self.prior["kind"]
+            keys = {"kind", "path", "variance"} if kind == "dir" else {"kind", "path"}
+            unknown = sorted(self.prior.keys() - keys)
+            if unknown:
+                raise ConfigError(f"unknown key prior.{unknown[0]} for a {kind} prior")
 
     # ---------------------------------------------------------- dict round trip
 
@@ -271,7 +279,7 @@ class ExperimentConfig:
             raise FileNotFoundError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:  # a directory, unreadable, not UTF-8 or not JSON
             raise ConfigError(f"{path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: a config must be a JSON object")
@@ -416,7 +424,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     score_fn = lambda x, tau: gmm_score(x, tau, prior, sched)
     hessian_fn = None
     if cfg.jacobian_mode == "exact":
-        hessian_fn = lambda x, tau: gmm_score_hessian(x, tau, prior, sched)
+        hessian_fn = lambda x, tau, v: gmm_score_hessian(x, tau, prior, sched, v)
     gcfg = GuidanceConfig(zeta=cfg.zeta, jacobian_mode=cfg.jacobian_mode)
     bcfg = BeliefConfig(sigma_x2=cfg.sigma_x2)
     schedule_set = build_measurement_schedule(sched.T, cfg.budget)

@@ -209,20 +209,28 @@ class GaussianMixturePrior:
         """The prior a ``to_json`` file holds; a malformed one raises ValueError naming it."""
         try:
             doc = json.loads(Path(path).read_text())
-        except ValueError as exc:  # also a UnicodeDecodeError
+        except FileNotFoundError:
+            raise
+        except (OSError, ValueError) as exc:  # a directory, unreadable, not UTF-8 or not JSON
             raise ValueError(f"prior file {path}: {exc}") from exc
         comps = doc.get("components") if isinstance(doc, dict) else None
         if not (isinstance(comps, list) and comps and "dimension" in doc and all(
-                isinstance(c, dict) and c.keys() >= {"weight", "mean", "variance"} for c in comps)):
+                isinstance(c, dict) and c.keys() >= {"weight", "mean", "variance"}
+                and isinstance(c["mean"], list) for c in comps)):
             raise ValueError(f"prior file {path} must be an object with a dimension and a non-empty"
-                             " components list of {weight, mean, variance} objects")
+                             " components list of {weight, mean array, variance} objects")
+        entries = [v for c in comps for v in (c["weight"], c["variance"], *c["mean"])]
+        # type(), not isinstance(): a JSON true is no number
+        if type(doc["dimension"]) is not int or not all(type(v) in (int, float) for v in entries):
+            raise ValueError(f"prior file {path}: dimension must be a JSON integer, and each"
+                             " weight, mean entry and variance a JSON number")
         try:
             prior = cls(
                 np.array([c["weight"] for c in comps], dtype=float),
                 np.array([c["mean"] for c in comps], dtype=float),
                 np.array([c["variance"] for c in comps], dtype=float),
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"prior file {path}: {exc}") from exc
         if prior.dimension != doc["dimension"]:
             raise ValueError(f"prior file {path}: dimension field disagrees with component means")
@@ -304,21 +312,20 @@ def gmm_score(x, tau: int, prior: GaussianMixturePrior,
 
 
 def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
-                      sched: NoiseSchedule) -> np.ndarray:
-    """Closed-form Hessian of the step-tau marginal log-density (N x N).
+                      sched: NoiseSchedule, v) -> np.ndarray:
+    """H(x) v: the step-tau log-density's Hessian times ``v``, for ``exact`` guidance.
 
-    Only defined for a single state vector; used by ``exact`` guidance.
+    Hv = -(sum_k rho_k / s_k) v + sum_k rho_k p_k (p_k . v) - g (g . v) with
+    responsibilities rho_k, pulls p_k = (m_k - x) / s_k and score g; the N x N
+    matrix is never formed (Pearlmutter 1994). Broadcasts over leading axes.
     """
-    x = _check_state(x, prior)
-    if x.ndim != 1:
-        raise ValueError("hessian expects a single state vector")
+    x, v = _check_state(x, prior), _check_state(v, prior)
     resp, pull, variances = _responsibilities(x, tau, prior, sched)
-    score = resp @ pull
-    n = prior.dimension
-    hess = -np.eye(n) * float(np.sum(resp / variances))
-    hess += (resp[:, None] * pull).T @ pull
-    hess -= np.outer(score, score)
-    return hess
+    score = np.sum(resp[..., None] * pull, axis=-2)
+    weighted = resp * np.einsum("...kn,...n->...k", pull, v)  # rho_k (p_k . v)
+    return (np.einsum("...k,...kn->...n", weighted, pull)
+            - np.sum(resp / variances, axis=-1, keepdims=True) * v
+            - np.sum(score * v, axis=-1, keepdims=True) * score)
 
 
 def _check_state(x, prior: GaussianMixturePrior) -> np.ndarray:
@@ -370,8 +377,9 @@ def guidance_step(
     between observed contents and the denoised mean at the observed indices.
     In ``scaled-identity`` mode that gradient is (2/sqrt(abar)) (xhat_q - x_q)
     at observed coordinates and zero elsewhere; ``exact`` mode chain-rules
-    through the denoiser Jacobian (I + (1 - abar) H) / sqrt(abar) built from
-    ``hessian_fn``. Broadcasts over a leading batch axis. ``x_hat`` is the
+    through the symmetric denoiser Jacobian (I + (1 - abar) H) / sqrt(abar),
+    with ``hessian_fn(x_tau, tau, residual)`` giving the product
+    H(x_tau) residual. Broadcasts over leading batch axes. ``x_hat`` is the
     denoised mean of x_tau; ``observed`` is an (N,) mask of revealed cells
     and ``observed_values`` an (N,) array of their contents in sampler space.
     """
@@ -392,8 +400,5 @@ def guidance_step(
     else:
         if hessian_fn is None:
             raise ValueError("exact guidance requires a hessian_fn")
-        grad = np.empty_like(x_tau)
-        for i in np.ndindex(x_tau.shape[:-1]):  # one state vector at a time
-            jac = (np.eye(n) + (1.0 - abar) * hessian_fn(x_tau[i], tau)) / math.sqrt(abar)
-            grad[i] = 2.0 * (jac @ residual[i])
+        grad = 2.0 * (residual + (1.0 - abar) * hessian_fn(x_tau, tau, residual)) / math.sqrt(abar)
     return x_prime - cfg.zeta * grad

@@ -200,6 +200,13 @@ def _require_finite(path: Path, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _unit_grid(path: Path, raw: np.ndarray) -> np.ndarray:
+    """``raw`` on [0, 1]: negative cells are rejected, and a max above 1 is scaled to 1."""
+    if raw.min() < 0.0:
+        raise SceneFormatError(f"{path}: negative cell values cannot be normalized")
+    return raw / raw.max() if raw.max() > 1.0 else raw
+
+
 def _read_csv_grid(path: Path) -> np.ndarray:
     try:
         rows = [
@@ -270,9 +277,7 @@ def load_scene(
     else:
         raise SceneFormatError(f"unsupported scene format {fmt!r}")
 
-    if raw.min() < 0.0:
-        raise SceneFormatError(f"{path}: negative cell values cannot be normalized")
-    grid = raw / raw.max() if raw.max() > 1.0 else raw
+    grid = _unit_grid(path, raw)
 
     rule = _parse_target_spec(target)
     target_file = _target_path(path)
@@ -317,6 +322,5 @@ def load_grid_dir(directory) -> list[np.ndarray]:
         raise FileNotFoundError(f"no grid files matching *.csv in {directory}")
     grids = []
     for p in paths:
-        raw = _read_csv_grid(p)
-        grids.append((raw / raw.max() if raw.max() > 1.0 else raw).ravel())
+        grids.append(_unit_grid(p, _read_csv_grid(p)).ravel())
     return grids

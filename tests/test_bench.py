@@ -422,6 +422,22 @@ def test_config_round_trip_of_every_non_default_section(tmp_path):
     assert back.scene.noise == (0.0, 0.05) and back.reward.hidden == (4,)
 
 
+@pytest.mark.parametrize("prior,key", [
+    ({"kind": "dir", "path": "corpus", "varaince": 0.5}, "prior.varaince"),
+    ({"kind": "json", "path": "prior.json", "variance": 0.5}, "prior.variance"),
+    ({"kind": "dir", "path": "corpus", "variance": 0.5, "comment": ""}, "prior.comment"),
+])
+def test_prior_section_rejects_keys_it_does_not_read(tmp_path, prior, key):
+    cfg = replace(file_scene_cfg(tmp_path), prior=prior)
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
+        cfg.validate()
+
+
+def test_blobs_scene_rejects_a_prior_section():
+    with pytest.raises(ConfigError, match="prior"):
+        tiny_cfg(prior={"kind": "dir", "path": "corpus"}).validate()
+
+
 def test_config_dict_has_no_out_dir_and_drops_unset_prior():
     doc = ExperimentConfig().to_dict()
     assert "out_dir" not in doc and "prior" not in doc

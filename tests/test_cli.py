@@ -187,6 +187,11 @@ def test_file_scene_config_runs(tmp_path, config_path):
     (True, "prior.kind", "zip"),
     (True, "scene.target", "bogus"),
     (True, "scene.format", "tiff"),
+    (False, "prior", {"kind": "bogus"}),
+    (True, "prior.variance", 0.5),
+    (True, "prior.varaince", 0.5),
+    pytest.param(True, "prior", {"kind": "dir", "path": "corpus", "varaince": 0.5},
+                 id="True-prior-dir-varaince"),
 ])
 def test_bad_config_value_exits_1_under_run_and_suite(tmp_path, config_path, capsys,
                                                       file_scene, key, value):
@@ -264,8 +269,14 @@ def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path
     lambda d: {**d, "components": [{**d["components"][0],
                                     "mean": [float("nan")] * 36}]},
     lambda d: {**d, "components": [{**d["components"][0], "variance": float("nan")}]},
+    lambda d: {**d, "components": [{**d["components"][0], "weight": "1.0"}]},
+    lambda d: {**d, "components": [{**d["components"][0], "variance": True}]},
+    lambda d: {**d, "components": [{**d["components"][0],
+                                    "mean": [str(v) for v in d["components"][0]["mean"]]}]},
+    lambda d: {**d, "dimension": 36.0},
 ], ids=["dimension-only", "no-weight", "no-dimension", "components-5", "array",
-        "weight-null", "nan-mean", "nan-variance"])
+        "weight-null", "nan-mean", "nan-variance", "weight-string", "variance-bool",
+        "mean-strings", "dimension-float"])
 def test_malformed_prior_file_exits_1_under_run_and_suite(tmp_path, config_path, capsys,
                                                           edit):
     doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
@@ -342,3 +353,44 @@ def test_non_finite_particles_exit_2_under_run_and_suite(tmp_path, capsys):
     assert main(["suite", "--config", str(path), "--out", str(tmp_path / "suite.csv")]) == 2
     err = capsys.readouterr().err
     assert "FAILED policy=diffatd B=8 seed=1" in err and "tau=67" in err
+
+
+def assert_exit_1_naming(tmp_path, capsys, config, name):
+    """``run`` and ``suite`` on ``config`` both exit 1 with ``name`` in the message."""
+    for command in ("run", "suite"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1, command
+        assert name in capsys.readouterr().err, command
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_config_that_is_a_directory_or_not_utf8_exits_1_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / "cfg-input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    assert_exit_1_naming(tmp_path, capsys, path, "cfg-input.json")
+
+
+def test_json_prior_path_that_is_a_directory_exits_1_naming_it(tmp_path, config_path, capsys):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    (tmp_path / "prior-folder").mkdir()
+    doc["prior"]["path"] = str(tmp_path / "prior-folder")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_exit_1_naming(tmp_path, capsys, path, "prior-folder")
+
+
+def test_negative_cell_in_dir_prior_exits_1_naming_its_file(tmp_path, config_path, capsys):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    (tmp_path / "corpus").mkdir()
+    grid = np.zeros((6, 6))
+    np.savetxt(tmp_path / "corpus" / "a.csv", grid, delimiter=",")
+    grid[2, 3] = -0.25
+    np.savetxt(tmp_path / "corpus" / "negative-grid.csv", grid, delimiter=",")
+    doc["prior"] = {"kind": "dir", "path": str(tmp_path / "corpus")}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_exit_1_naming(tmp_path, capsys, path, "negative-grid.csv")

@@ -170,19 +170,89 @@ def test_score_dimension_mismatch():
         gmm_score(np.zeros(3), 1, prior, sched)
 
 
+def dense_score_hessian(x, tau, prior, sched):
+    """The N x N Hessian of the step-tau log-density at one state: the product's oracle."""
+    abar = sched.alpha_bar[tau - 1]
+    means = math.sqrt(abar) * prior.means
+    variances = abar * prior.variances + (1.0 - abar)
+    log_terms = (np.log(prior.weights) - 0.5 * x.size * np.log(2.0 * math.pi * variances)
+                 - 0.5 * np.sum((x - means) ** 2, axis=1) / variances)
+    resp = np.exp(log_terms - log_terms.max())
+    resp /= resp.sum()
+    pull = (means - x) / variances[:, None]
+    score = resp @ pull
+    hess = -np.eye(x.size) * float(np.sum(resp / variances))
+    hess += (resp[:, None] * pull).T @ pull
+    hess -= np.outer(score, score)
+    return hess
+
+
 def test_hessian_matches_score_finite_difference():
     rng = np.random.default_rng(7)
     prior = random_prior(rng, 3, 3)
     sched = make_schedule(40)
     x = rng.normal(size=3)
     tau = 13
-    hess = gmm_score_hessian(x, tau, prior, sched)
+    hess = dense_score_hessian(x, tau, prior, sched)
     h = 1e-5
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
         col = (gmm_score(x + e, tau, prior, sched) - gmm_score(x - e, tau, prior, sched)) / (2 * h)
         np.testing.assert_allclose(hess[:, i], col, atol=1e-6)
+
+
+def hvp_case(case):
+    """A prior, schedule, step and (x, v) pair shaped ``(*batch, N)`` for one product case."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    batch = {"single": (), "batch-4": (4,), "batch-2x3": (2, 3)}.get(case, (4,))
+    n, k = 7, 1 if case == "one-component" else 4
+    prior = random_prior(rng, n, k)
+    sched = make_schedule(40)
+    tau = int(rng.integers(1, sched.T + 1))
+    x, v = rng.normal(size=(*batch, n)), rng.normal(size=(*batch, n))
+    if case == "tight-component":  # at tau = 1 its marginal variance is about 1e-4
+        prior = GaussianMixturePrior(prior.weights, prior.means,
+                                     np.concatenate(([1e-6], prior.variances[1:])))
+        tau = 1
+        x[0] = math.sqrt(sched.alpha_bar[0]) * prior.means[0]  # on the tight mean
+    return prior, sched, tau, x, v
+
+
+HVP_CASES = ["single", "batch-4", "batch-2x3", "one-component", "tight-component"]
+
+
+@pytest.mark.parametrize("case", HVP_CASES)
+def test_hessian_vector_product_matches_dense_oracle(case):
+    prior, sched, tau, x, v = hvp_case(case)
+    got = gmm_score_hessian(x, tau, prior, sched, v)
+    assert got.shape == x.shape
+    for i in np.ndindex(x.shape[:-1]):
+        hess = dense_score_hessian(x[i], tau, prior, sched)
+        scale = np.abs(hess).max() * np.abs(v[i]).max()
+        np.testing.assert_allclose(got[i], hess @ v[i], rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", HVP_CASES)
+def test_hessian_vector_product_is_symmetric(case):
+    prior, sched, tau, x, v = hvp_case(case)
+    u = np.random.default_rng(3).normal(size=x.shape)
+    u_hv = np.sum(u * gmm_score_hessian(x, tau, prior, sched, v), axis=-1)
+    v_hu = np.sum(v * gmm_score_hessian(x, tau, prior, sched, u), axis=-1)
+    scale = np.max(np.abs(u_hv)) + np.max(np.abs(v_hu))
+    np.testing.assert_allclose(u_hv, v_hu, rtol=0, atol=1e-12 * scale)
+
+
+def test_hessian_vector_product_matches_score_finite_difference():
+    rng = np.random.default_rng(17)
+    prior = random_prior(rng, 5, 3)
+    sched = make_schedule(40)
+    tau = 13
+    x, v = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+    h = 1e-5
+    fd = (gmm_score(x + h * v, tau, prior, sched)
+          - gmm_score(x - h * v, tau, prior, sched)) / (2 * h)
+    np.testing.assert_allclose(gmm_score_hessian(x, tau, prior, sched, v), fd, atol=1e-6)
 
 
 # ------------------------------------------------------------------ tweedie
@@ -348,7 +418,7 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
     cells, values = np.array([0, 2]), np.array([0.3, -0.6])
     observed, dense = as_mask(cells, values, 3)
     score_fn = make_score_fn(prior, sched)
-    hess_fn = lambda x, t: gmm_score_hessian(x, t, prior, sched)
+    hess_fn = lambda x, t, v: gmm_score_hessian(x, t, prior, sched, v)
     x_tau = rng.normal(size=3)
     xp = rng.normal(size=3)
     zeta = 0.31
@@ -388,11 +458,7 @@ def guidance_by_index(x_prime, x_tau, x_hat, cells, values, tau, cfg, sched, hes
     if cfg.jacobian_mode == "scaled-identity":
         grad = (2.0 / math.sqrt(abar)) * residual
     else:
-        n = x_tau.shape[-1]
-        grad = np.empty_like(x_tau)
-        for i in np.ndindex(x_tau.shape[:-1]):
-            jac = (np.eye(n) + (1.0 - abar) * hessian_fn(x_tau[i], tau)) / math.sqrt(abar)
-            grad[i] = 2.0 * (jac @ residual[i])
+        grad = 2.0 * (residual + (1.0 - abar) * hessian_fn(x_tau, tau, residual)) / math.sqrt(abar)
     return x_prime - cfg.zeta * grad
 
 
@@ -403,7 +469,7 @@ def test_guidance_mask_form_matches_index_form(mode):
     prior = random_prior(rng, n, 3)
     sched = make_schedule(40)
     score_fn = make_score_fn(prior, sched)
-    hess_fn = lambda x, t: gmm_score_hessian(x, t, prior, sched)
+    hess_fn = lambda x, t, v: gmm_score_hessian(x, t, prior, sched, v)
     cfg = GuidanceConfig(zeta=0.4, jacobian_mode=mode)
     for batch in [(), (4,), (), (4,), (2, 3)]:
         cells = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)  # any order
@@ -415,6 +481,23 @@ def test_guidance_mask_form_matches_index_form(mode):
         got = guidance_step(xp, x_tau, xh, observed, dense, tau, cfg, sched, hess_fn)
         want = guidance_by_index(xp, x_tau, xh, cells, values, tau, cfg, sched, hess_fn)
         assert np.array_equal(got, want)
+
+
+def test_exact_guidance_applies_one_product_to_the_whole_batch():
+    rng = np.random.default_rng(5)
+    prior, sched, tau = random_prior(rng, 6, 3), make_schedule(30), 11
+    calls = []
+
+    def hess_fn(x, t, v):
+        calls.append((x.shape, v.shape))
+        return gmm_score_hessian(x, t, prior, sched, v)
+
+    x_tau = rng.normal(size=(2, 3, 6))
+    xh = tweedie_denoise(x_tau, tau, make_score_fn(prior, sched), sched)
+    observed = np.array([True, False, True, False, False, True])
+    guidance_step(rng.normal(size=x_tau.shape), x_tau, xh, observed, np.zeros(6), tau,
+                  GuidanceConfig(jacobian_mode="exact"), sched, hess_fn)
+    assert calls == [((2, 3, 6), (2, 3, 6))]
 
 
 # --------------------------------------------- contraction and determinism
@@ -515,9 +598,15 @@ def prior_doc():
     lambda d: {**d, "components": [{"weight": 1.0, "mean": [math.nan, 1.0], "variance": 0.5}]},
     lambda d: {**d, "components": [{"weight": 1.0, "mean": [0.0, 1.0], "variance": math.nan}]},
     lambda d: {**d, "dimension": 3},
+    lambda d: {**d, "components": [{"weight": "1.0", "mean": [0.0, 1.0], "variance": 0.5}]},
+    lambda d: {**d, "components": [{"weight": 1.0, "mean": [0.0, 1.0], "variance": True}]},
+    lambda d: {**d, "components": [{"weight": 1.0, "mean": ["0.1", "0.2"], "variance": 0.5}]},
+    lambda d: {**d, "components": [{"weight": 1.0, "mean": 0.5, "variance": 0.5}]},
+    lambda d: {**d, "dimension": 2.0},
 ], ids=["array", "no-components", "components-5", "components-empty", "component-7",
         "no-dimension", "no-weight", "weight-null", "nan-mean", "nan-variance",
-        "wrong-dimension"])
+        "wrong-dimension", "weight-string", "variance-bool", "mean-strings", "mean-number",
+        "dimension-float"])
 def test_prior_from_json_names_file_of_malformed_document(tmp_path, edit):
     path = tmp_path / "bad-prior.json"
     path.write_text(json.dumps(edit(prior_doc())))
@@ -532,6 +621,15 @@ def test_prior_from_json_names_file_it_cannot_parse(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ValueError, match="prior file .*bad-prior.json"):
         GaussianMixturePrior.from_json(path)
+
+
+def test_prior_from_json_names_a_directory_and_keeps_a_missing_file_distinct(tmp_path):
+    folder = tmp_path / "bad-prior.json"
+    folder.mkdir()
+    with pytest.raises(ValueError, match="prior file .*bad-prior.json"):
+        GaussianMixturePrior.from_json(folder)
+    with pytest.raises(FileNotFoundError):
+        GaussianMixturePrior.from_json(tmp_path / "missing.json")
 
 
 def test_prior_affine_transform():

@@ -319,6 +319,14 @@ def test_non_finite_grid_dir_rejected(tmp_path):
         load_grid_dir(tmp_path)
 
 
+def test_grid_dir_normalizes_like_load_scene(tmp_path):
+    (tmp_path / "a.csv").write_text("0,4\n2,1\n")
+    np.testing.assert_array_equal(load_grid_dir(tmp_path)[0], load_scene(tmp_path / "a.csv").grid)
+    (tmp_path / "b.csv").write_text("0,1\n-0.5,0\n")
+    with pytest.raises(SceneFormatError, match="b.csv: negative"):
+        load_grid_dir(tmp_path)
+
+
 def test_load_grid_dir(tmp_path):
     (tmp_path / "a.csv").write_text("0,1\n1,0\n")
     (tmp_path / "b.csv").write_text("1,1\n0,0\n")
