@@ -266,10 +266,15 @@ def _marginal_params(tau: int, prior: GaussianMixturePrior, sched: NoiseSchedule
 
 
 def _component_log_terms(x: np.ndarray, tau, prior, sched):
-    """log w_k + log N(x; m_k, s_k I), shape (..., K), and the m_k and s_k used."""
+    """log w_k + log N(x; m_k, s_k I), shape (..., K), and the m_k and s_k used.
+
+    ||x - m_k||^2 is taken in Gram form, ||x||^2 - 2 x.m_k + ||m_k||^2: one
+    (..., N) @ (N, K) product, no (..., K, N) difference tensor.
+    """
     means, variances = _marginal_params(tau, prior, sched)
-    diff = x[..., None, :] - means  # (..., K, N)
-    sq = np.sum(diff * diff, axis=-1)  # (..., K)
+    sq = (np.sum(x * x, axis=-1, keepdims=True) - 2.0 * (x @ means.T)
+          + np.sum(means * means, axis=-1))  # (..., K)
+    np.maximum(sq, 0.0, out=sq)  # rounding may leave a near-zero distance below 0
     n = prior.dimension
     terms = (
         np.log(prior.weights)
@@ -280,12 +285,16 @@ def _component_log_terms(x: np.ndarray, tau, prior, sched):
 
 
 def _responsibilities(x: np.ndarray, tau, prior, sched):
-    """Posterior weights (..., K), pulls (m_k - x) / s_k (..., K, N), variances s_k."""
+    """Posterior weights rho_k (..., K), marginal means m_k (K, N) and variances s_k."""
     terms, means, variances = _component_log_terms(x, tau, prior, sched)
     resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
     resp /= resp.sum(axis=-1, keepdims=True)
-    pull = (means - x[..., None, :]) / variances[:, None]
-    return resp, pull, variances
+    return resp, means, variances
+
+
+def _weighted_pulls(w: np.ndarray, means: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k w_k (m_k - x), taken as w @ M - (sum_k w_k) x."""
+    return w @ means - np.sum(w, axis=-1, keepdims=True) * x
 
 
 def gmm_log_density(x, tau: int, prior: GaussianMixturePrior,
@@ -302,13 +311,14 @@ def gmm_score(x, tau: int, prior: GaussianMixturePrior,
     """Gradient of the step-tau marginal log-density.
 
     The marginal of the mixture under the forward process has component
-    means sqrt(abar) mu_k and variances abar v_k + (1 - abar); the score is
-    the responsibility-weighted sum of the per-component Gaussian scores.
-    Broadcasts over leading axes of ``x``.
+    means m_k = sqrt(abar) mu_k and variances s_k = abar v_k + (1 - abar);
+    the score is the responsibility-weighted sum of the per-component
+    Gaussian scores, sum_k rho_k (m_k - x) / s_k = w @ M - (sum_k w_k) x with
+    w_k = rho_k / s_k. Broadcasts over leading axes of ``x``.
     """
     x = _check_state(x, prior)
-    resp, pull, _ = _responsibilities(x, tau, prior, sched)
-    return np.sum(resp[..., None] * pull, axis=-2)
+    resp, means, variances = _responsibilities(x, tau, prior, sched)
+    return _weighted_pulls(resp / variances, means, x)
 
 
 def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
@@ -316,15 +326,18 @@ def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
     """H(x) v: the step-tau log-density's Hessian times ``v``, for ``exact`` guidance.
 
     Hv = -(sum_k rho_k / s_k) v + sum_k rho_k p_k (p_k . v) - g (g . v) with
-    responsibilities rho_k, pulls p_k = (m_k - x) / s_k and score g; the N x N
-    matrix is never formed (Pearlmutter 1994). Broadcasts over leading axes.
+    responsibilities rho_k, pulls p_k = (m_k - x) / s_k and score g. Each
+    p_k . v = (v . m_k - x . v) / s_k comes from one (..., N) @ (N, K)
+    product; neither the N x N matrix (Pearlmutter 1994) nor a (..., K, N)
+    pull tensor is formed. Broadcasts over leading axes.
     """
     x, v = _check_state(x, prior), _check_state(v, prior)
-    resp, pull, variances = _responsibilities(x, tau, prior, sched)
-    score = np.sum(resp[..., None] * pull, axis=-2)
-    weighted = resp * np.einsum("...kn,...n->...k", pull, v)  # rho_k (p_k . v)
-    return (np.einsum("...k,...kn->...n", weighted, pull)
-            - np.sum(resp / variances, axis=-1, keepdims=True) * v
+    resp, means, variances = _responsibilities(x, tau, prior, sched)
+    w = resp / variances
+    score = _weighted_pulls(w, means, x)
+    pv = (v @ means.T - np.sum(x * v, axis=-1, keepdims=True)) / variances  # p_k . v
+    return (_weighted_pulls(w * pv, means, x)
+            - np.sum(w, axis=-1, keepdims=True) * v
             - np.sum(score * v, axis=-1, keepdims=True) * score)
 
 

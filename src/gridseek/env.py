@@ -214,7 +214,7 @@ def _read_csv_grid(path: Path) -> np.ndarray:
             for line in path.read_text().strip().splitlines()
             if line.strip()
         ]
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a directory, unreadable, not UTF-8 or not numbers
         raise SceneFormatError(f"{path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise SceneFormatError(f"{path}: ragged or empty grid")
@@ -222,7 +222,10 @@ def _read_csv_grid(path: Path) -> np.ndarray:
 
 
 def _read_pgm(path: Path) -> np.ndarray:
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:  # a directory or unreadable
+        raise SceneFormatError(f"{path}: {exc}") from exc
     tokens = []
     pos = 0
     while len(tokens) < 4:

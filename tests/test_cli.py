@@ -240,6 +240,7 @@ def test_non_object_config_document_exits_1(tmp_path, capsys, command):
     (True, "prior.path", "missing.json", "missing.json"),
     (True, "scene.target", "file", "scene.target.csv"),
     (True, "scene.path", "wide.pgm", "wide.pgm"),
+    (True, "scene.path", "folder.csv", "folder.csv"),
 ])
 def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path, capsys,
                                                            file_scene, key, value, named):
@@ -248,6 +249,7 @@ def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path
     if file_scene:
         use_file_scene(doc, tmp_path)
         (tmp_path / "wide.pgm").write_bytes(b"P5 99999999999999999999 1 255\n\0")
+        (tmp_path / "folder.csv").mkdir()
         value = value if key == "scene.target" else str(tmp_path / value)
     set_key(doc, key, value)
     path = tmp_path / "bad.json"
@@ -394,3 +396,14 @@ def test_negative_cell_in_dir_prior_exits_1_naming_its_file(tmp_path, config_pat
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert_exit_1_naming(tmp_path, capsys, path, "negative-grid.csv")
+
+
+def test_dir_prior_grid_that_is_a_directory_exits_1_naming_it(tmp_path, config_path, capsys):
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    (tmp_path / "corpus").mkdir()
+    np.savetxt(tmp_path / "corpus" / "a.csv", np.zeros((6, 6)), delimiter=",")
+    (tmp_path / "corpus" / "grid-folder.csv").mkdir()
+    doc["prior"] = {"kind": "dir", "path": str(tmp_path / "corpus")}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_exit_1_naming(tmp_path, capsys, path, "grid-folder.csv")

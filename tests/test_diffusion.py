@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,16 +171,43 @@ def test_score_dimension_mismatch():
         gmm_score(np.zeros(3), 1, prior, sched)
 
 
-def dense_score_hessian(x, tau, prior, sched):
-    """The N x N Hessian of the step-tau log-density at one state: the product's oracle."""
+def difference_form(x, tau, prior, sched):
+    """Log terms (..., K) and pulls (m_k - x) / s_k (..., K, N) from the difference tensor.
+
+    The kernels' oracle: it forms x - m_k for every component, which the
+    Gram-form kernels in ``gridseek.diffusion`` never do.
+    """
     abar = sched.alpha_bar[tau - 1]
     means = math.sqrt(abar) * prior.means
     variances = abar * prior.variances + (1.0 - abar)
-    log_terms = (np.log(prior.weights) - 0.5 * x.size * np.log(2.0 * math.pi * variances)
-                 - 0.5 * np.sum((x - means) ** 2, axis=1) / variances)
-    resp = np.exp(log_terms - log_terms.max())
-    resp /= resp.sum()
-    pull = (means - x) / variances[:, None]
+    diff = x[..., None, :] - means
+    log_terms = (np.log(prior.weights) - 0.5 * x.shape[-1] * np.log(2.0 * math.pi * variances)
+                 - 0.5 * np.sum(diff * diff, axis=-1) / variances)
+    return log_terms, -diff / variances[:, None]
+
+
+def difference_responsibilities(log_terms):
+    resp = np.exp(log_terms - log_terms.max(axis=-1, keepdims=True))
+    return resp / resp.sum(axis=-1, keepdims=True)
+
+
+def difference_score(x, tau, prior, sched):
+    log_terms, pull = difference_form(x, tau, prior, sched)
+    return np.sum(difference_responsibilities(log_terms)[..., None] * pull, axis=-2)
+
+
+def difference_log_density(x, tau, prior, sched):
+    log_terms, _ = difference_form(x, tau, prior, sched)
+    top = log_terms.max(axis=-1)
+    return top + np.log(np.sum(np.exp(log_terms - top[..., None]), axis=-1))
+
+
+def dense_score_hessian(x, tau, prior, sched):
+    """The N x N Hessian of the step-tau log-density at one state: the product's oracle."""
+    log_terms, pull = difference_form(x, tau, prior, sched)
+    resp = difference_responsibilities(log_terms)
+    abar = sched.alpha_bar[tau - 1]
+    variances = abar * prior.variances + (1.0 - abar)
     score = resp @ pull
     hess = -np.eye(x.size) * float(np.sum(resp / variances))
     hess += (resp[:, None] * pull).T @ pull
@@ -202,8 +230,8 @@ def test_hessian_matches_score_finite_difference():
         np.testing.assert_allclose(hess[:, i], col, atol=1e-6)
 
 
-def hvp_case(case):
-    """A prior, schedule, step and (x, v) pair shaped ``(*batch, N)`` for one product case."""
+def mixture_case(case):
+    """A prior, schedule, step and (x, v) pair shaped ``(*batch, N)`` for one kernel case."""
     rng = np.random.default_rng(sum(map(ord, case)))
     batch = {"single": (), "batch-4": (4,), "batch-2x3": (2, 3)}.get(case, (4,))
     n, k = 7, 1 if case == "one-component" else 4
@@ -219,12 +247,62 @@ def hvp_case(case):
     return prior, sched, tau, x, v
 
 
-HVP_CASES = ["single", "batch-4", "batch-2x3", "one-component", "tight-component"]
+MIXTURE_CASES = ["single", "batch-4", "batch-2x3", "one-component", "tight-component"]
 
 
-@pytest.mark.parametrize("case", HVP_CASES)
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_gram_form_score_matches_difference_oracle(case):
+    prior, sched, tau, x, _ = mixture_case(case)
+    got = gmm_score(x, tau, prior, sched)
+    assert got.shape == x.shape
+    # the score is a convex combination of pulls: its rounding scales with the largest
+    _, pull = difference_form(x, tau, prior, sched)
+    scale = np.abs(pull).max()
+    np.testing.assert_allclose(got, difference_score(x, tau, prior, sched),
+                               rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_gram_form_log_density_matches_difference_oracle(case):
+    prior, sched, tau, x, _ = mixture_case(case)
+    got = gmm_log_density(x, tau, prior, sched)
+    want = difference_log_density(x, tau, prior, sched)
+    assert got.shape == x.shape[:-1]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
+
+
+def test_gram_form_density_on_a_mean_stays_at_its_peak():
+    """||x||^2 - 2 x.m + ||m||^2 can round below 0 on a mean; the density must stay at its peak."""
+    rng = np.random.default_rng(29)
+    sched = make_schedule(40)
+    for _ in range(20):
+        prior = GaussianMixturePrior.single(rng.normal(size=256), 1e-6)
+        x = math.sqrt(sched.alpha_bar[0]) * prior.means[0]
+        assert gmm_log_density(x, 1, prior, sched) <= difference_log_density(x, 1, prior, sched)
+
+
+@pytest.mark.parametrize("kernel", ["score", "hessian"])
+def test_mixture_kernels_allocate_no_component_by_cell_tensor(kernel):
+    """At (16, 1024) with K = 32 a (..., K, N) tensor is 4 MiB; each kernel stays under 1 MiB."""
+    rng = np.random.default_rng(23)
+    prior = random_prior(rng, 1024, 32)
+    sched = make_schedule(40)
+    x, v = rng.normal(size=(2, 16, 1024))
+    call = {"score": lambda: gmm_score(x, 9, prior, sched),
+            "hessian": lambda: gmm_score_hessian(x, 9, prior, sched, v)}[kernel]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{kernel} allocated a {peak / 2**20:.2f} MiB peak"
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
 def test_hessian_vector_product_matches_dense_oracle(case):
-    prior, sched, tau, x, v = hvp_case(case)
+    prior, sched, tau, x, v = mixture_case(case)
     got = gmm_score_hessian(x, tau, prior, sched, v)
     assert got.shape == x.shape
     for i in np.ndindex(x.shape[:-1]):
@@ -233,9 +311,9 @@ def test_hessian_vector_product_matches_dense_oracle(case):
         np.testing.assert_allclose(got[i], hess @ v[i], rtol=0, atol=1e-10 * scale)
 
 
-@pytest.mark.parametrize("case", HVP_CASES)
+@pytest.mark.parametrize("case", MIXTURE_CASES)
 def test_hessian_vector_product_is_symmetric(case):
-    prior, sched, tau, x, v = hvp_case(case)
+    prior, sched, tau, x, v = mixture_case(case)
     u = np.random.default_rng(3).normal(size=x.shape)
     u_hv = np.sum(u * gmm_score_hessian(x, tau, prior, sched, v), axis=-1)
     v_hu = np.sum(v * gmm_score_hessian(x, tau, prior, sched, u), axis=-1)

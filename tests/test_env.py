@@ -216,6 +216,19 @@ def test_missing_file_error():
         load_scene("/nonexistent/scene.csv")
 
 
+@pytest.mark.parametrize("name", ["s.csv", "s.pgm", "g.target.csv", "corpus/g.csv"])
+def test_grid_path_that_is_a_directory_raises_scene_format_error(tmp_path, name):
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / "a.csv").write_text("0.2,0.4\n0.6,0.8\n")
+    (tmp_path / "g.csv").write_text("0.2,0.4\n0.6,0.8\n")
+    (tmp_path / name).mkdir()
+    with pytest.raises(SceneFormatError, match=name):
+        if name.startswith("corpus/"):
+            load_grid_dir(tmp_path / "corpus")
+        else:
+            load_scene(tmp_path / name.replace(".target", ""))
+
+
 def test_ragged_csv_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("0,1\n1\n")
