@@ -18,6 +18,10 @@ the set. ``score_field`` computes all three for every candidate at once;
 batch-level ``marginal_entropy`` follows the printed ranking
 surrogate with a positive exponent in the consensus kernel; it grows with
 particle spread and is not a literal mixture entropy.
+
+Neither ``score_field`` nor ``marginal_entropy`` builds an (n_b, n_b, ...)
+array of particle differences. Both subtract the particle mean first, so a
+common offset cannot cancel away the spread (see each docstring).
 """
 
 from __future__ import annotations
@@ -115,10 +119,18 @@ def _coords(location, dim: int) -> np.ndarray:
 
 
 def marginal_entropy(batch: ParticleBatch, cfg: BeliefConfig) -> float:
-    """Batch-level ranking surrogate: sum_i a_i log sum_j a_j exp(d_ij)."""
+    """Batch-level ranking surrogate: sum_i a_i log sum_j a_j exp(d_ij).
+
+    d_ij = ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j over the centred particles
+    c = x - mean(x), clamped at 0: one (n_b, n_b) Gram product and no
+    (n_b, n_b, dim) difference array.
+    """
     w = np.full(batch.n_b, 1.0 / batch.n_b)
-    diff = batch.denoised[:, None, :] - batch.denoised[None, :, :]
-    d = np.sum(diff * diff, axis=-1) / (2.0 * cfg.sigma_x2)
+    c = batch.denoised - batch.denoised.mean(axis=0)
+    sq = np.einsum("ij,ij->i", c, c)
+    d = sq[:, None] + sq[None, :] - 2.0 * (c @ c.T)
+    np.maximum(d, 0.0, out=d)
+    d /= 2.0 * cfg.sigma_x2
     terms = np.log(w)[None, :] + d
     m = terms.max(axis=1, keepdims=True)
     inner = np.squeeze(m, 1) + np.log(np.sum(np.exp(terms - m), axis=1))
@@ -183,6 +195,12 @@ def score_field(
     ``coord_sets`` is an (L, cells) int array, one row of cell indices per
     candidate. With no reward_fn the reward column is zero (and so is the
     exploitation column).
+
+    Exploration uses sum_ij ||a_i - a_j||^2 = 2 n_b sum_i ||a_i - mean(a)||^2
+    on centred values; the uncentred 2 n_b sum a^2 - 2 (sum a)^2 would cancel
+    away a small spread under a large common offset. Likelihood uses
+    n_b + 2 sum_{i<j} exp(-d_ij), one particle i at a time over its
+    (n_b - 1 - i, L) later pairs, so no (n_b, n_b, L, cells) array is formed.
     """
     coord_sets = np.asarray(coord_sets, dtype=int)
     if coord_sets.ndim != 2 or coord_sets.shape[0] != len(candidates):
@@ -190,17 +208,27 @@ def score_field(
     if coord_sets.size and (coord_sets.min() < 0 or coord_sets.max() >= batch.dim):
         raise IndexError("coordinate set outside the state dimension")
 
-    vals = batch.denoised[:, coord_sets]  # (n_b, L, cells)
-    diff = vals[:, None, :, :] - vals[None, :, :, :]
-    pair_sq = np.sum(diff * diff, axis=-1)  # (n_b, n_b, L)
-    expl = pair_sq.sum(axis=(0, 1)) / (2.0 * cfg.sigma_x2)
-    likeli = np.exp(-pair_sq / (2.0 * cfg.sigma_x2)).sum(axis=(0, 1))
+    vals = batch.denoised[:, coord_sets.T]  # (n_b, cells, L): cell sums add whole rows
+    n_b, cells, n_loc = vals.shape
+    two_s2 = 2.0 * cfg.sigma_x2
+    centred = vals - vals.mean(axis=0)
+    expl = 2.0 * n_b * np.einsum("icl,icl->l", centred, centred) / two_s2
+    # buffers for particle 0's n_b - 1 later pairs, reused for each later i
+    diff = np.empty((n_b - 1, cells, n_loc))
+    pair_sq = np.empty((n_b - 1, n_loc))
+    pair_sum = np.zeros(n_loc)
+    for i in range(n_b - 1):
+        d = np.subtract(vals[i + 1:], vals[i], out=diff[: n_b - 1 - i])
+        d *= d
+        p = np.sum(d, axis=1, out=pair_sq[: n_b - 1 - i])
+        p /= -two_s2
+        pair_sum += np.exp(p, out=p).sum(axis=0)
+    likeli = n_b + 2.0 * pair_sum
 
     if reward_fn is None:
-        reward = np.zeros(len(candidates))
+        reward = np.zeros(n_loc)
     else:
-        n_b, n_loc, cells = vals.shape
-        flat = vals.transpose(1, 0, 2).reshape(n_loc * n_b, cells)
+        flat = vals.transpose(2, 0, 1).reshape(n_loc * n_b, cells)
         preds = np.asarray(reward_fn(flat), dtype=float).reshape(n_loc, n_b)
         reward = preds.sum(axis=1)
 

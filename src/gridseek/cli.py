@@ -86,6 +86,9 @@ def _field_dump(path, step=None):
 
 
 def _cmd_run(args) -> int:
+    if args.trace and Path(args.trace).resolve() == Path(args.out).resolve():
+        raise _CliArgumentError(f"--trace and --out both name {args.out}; the score "
+                                "fields would overwrite the step trace")
     cfg = _load_config(args.config, args)
     sink, write_fields = _field_dump(args.trace) if args.trace else (None, None)
     _log(f"running episode seed={args.seed} policy={cfg.policy.kind}")
@@ -117,6 +120,9 @@ def _cmd_suite(args) -> int:
 
 def _cmd_scores(args) -> int:
     cfg = _load_config(args.config, args)
+    if args.step is not None and not 0 <= args.step < cfg.budget:
+        raise _CliArgumentError(f"--step {args.step} is outside the measurement steps "
+                                f"0..{cfg.budget - 1}")
     sink, write_fields = _field_dump(args.out, args.step)
     _log(f"running episode seed={args.seed} for score-field dump")
     run_episode(cfg, args.seed, field_sink=sink)
@@ -180,7 +186,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (_CliArgumentError, ConfigError, FileNotFoundError, ValueError) as exc:
         _log(f"error: {exc}")
         return 1
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure

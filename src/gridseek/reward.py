@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 LEAK = 0.01
+# Rows per block of the scoring forward pass: each block's (rows, width)
+# activations stay a few hundred KiB, inside a core's L2.
+PREDICT_BLOCK = 1024
 
 
 def default_layout(patch_area: int) -> list[int]:
@@ -89,7 +92,10 @@ class RewardNet:
 
 
 def _forward(net: RewardNet, X: np.ndarray):
-    """Returns per-layer pre-activations and activations; last entry is the logit."""
+    """Returns per-layer pre-activations and activations; last entry is the logit.
+
+    Training reads these lists; scoring goes through ``_logits``.
+    """
     pres, acts = [], [X]
     h = X
     last = len(net.weights) - 1
@@ -99,6 +105,29 @@ def _forward(net: RewardNet, X: np.ndarray):
         h = z if i == last else np.where(z > 0.0, z, LEAK * z)
         acts.append(h)
     return pres, acts
+
+
+def _logits(net: RewardNet, X: np.ndarray) -> np.ndarray:
+    """The (n,) output logits of ``_forward``, computed in row blocks.
+
+    Keeps no per-layer lists. Blocks start at multiples of PREDICT_BLOCK, so
+    each row keeps its place in the BLAS kernels' row groups, and a lone last
+    row joins the block before it, because numpy multiplies a one-row matrix
+    through another BLAS routine whose rounding differs. So the logits are
+    bit-identical to ``_forward``'s.
+    """
+    n = X.shape[0]
+    out = np.empty(n)
+    edges = [*range(0, max(n - 1, 1), PREDICT_BLOCK), n]
+    last = len(net.weights) - 1
+    for start, stop in zip(edges[:-1], edges[1:]):
+        h = X[start:stop]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = h @ w
+            z += b
+            h = z if i == last else np.maximum(z, LEAK * z)
+        out[start:stop] = h[:, 0]
+    return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -125,7 +154,7 @@ def predict(net: RewardNet, patch):
     Accepts one flattened patch or a (n, patch_area) matrix.
     """
     X, single = _as_matrix(net, patch)
-    probs = _sigmoid(_forward(net, X)[0][-1][:, 0])
+    probs = _sigmoid(_logits(net, X))
     return float(probs[0]) if single else probs
 
 
@@ -142,7 +171,7 @@ def bce_loss(net: RewardNet, dataset) -> float:
     Evaluated from logits (softplus form) so near-perfect fits stay finite.
     """
     X, y = _stack(net, dataset)
-    z = _forward(net, X)[0][-1][:, 0]
+    z = _logits(net, X)
     softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
     return float(np.sum(softplus - y * z))
 

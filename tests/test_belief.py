@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gridseek.belief import (
     marginal_entropy,
     score_field,
 )
+from gridseek.env import Scene
 
 CFG = BeliefConfig()
 
@@ -313,6 +315,85 @@ def test_score_field_matches_location_scores(vals, width):
     for cells, row in zip(coords, field_rows(field)):
         assert row == pytest.approx(location_scores(b, cells, CFG, reward),
                                     rel=1e-9, abs=1e-12)
+
+
+# ------------------------------ pair-free kernels against the pair tensors
+
+
+def pair_tensor_scores(batch, coord_sets, cfg):
+    """Oracle: (exploration, likelihood) from the full (n_b, n_b, L, cells) differences."""
+    vals = batch.denoised[:, coord_sets]
+    diff = vals[:, None, :, :] - vals[None, :, :, :]
+    pair_sq = np.sum(diff * diff, axis=-1)
+    expl = pair_sq.sum(axis=(0, 1)) / (2.0 * cfg.sigma_x2)
+    likeli = np.exp(-pair_sq / (2.0 * cfg.sigma_x2)).sum(axis=(0, 1))
+    return expl, likeli
+
+
+def pair_tensor_entropy(batch, cfg):
+    """Oracle: ``marginal_entropy`` from the full (n_b, n_b, dim) differences."""
+    w = np.full(batch.n_b, 1.0 / batch.n_b)
+    diff = batch.denoised[:, None, :] - batch.denoised[None, :, :]
+    d = np.sum(diff * diff, axis=-1) / (2.0 * cfg.sigma_x2)
+    terms = np.log(w)[None, :] + d
+    m = terms.max(axis=1, keepdims=True)
+    inner = np.squeeze(m, 1) + np.log(np.sum(np.exp(terms - m), axis=1))
+    return float(np.dot(w, inner))
+
+
+def assert_matches_pair_tensors(batch, coord_sets, cfg):
+    field = score_field(batch, list(range(len(coord_sets))), coord_sets, cfg)
+    expl_ref, likeli_ref = pair_tensor_scores(batch, coord_sets, cfg)
+    np.testing.assert_allclose(field.exploration, expl_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(field.likelihood, likeli_ref, rtol=1e-12, atol=0)
+    assert marginal_entropy(batch, cfg) == pytest.approx(
+        pair_tensor_entropy(batch, cfg), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("cells", [1, 4])
+@pytest.mark.parametrize("n_b", [2, 3, 5, 8, 16])
+def test_pair_free_kernels_match_pair_tensor_oracle(n_b, cells):
+    rng = np.random.default_rng(100 * n_b + cells)
+    for _ in range(5):
+        batch = batch_of(rng.normal(size=(n_b, 48)))
+        coord_sets = rng.integers(0, 48, size=(40, cells))
+        assert_matches_pair_tensors(batch, coord_sets, CFG)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_pair_free_kernels_match_oracle_on_block_locations(block):
+    rng = np.random.default_rng(block)
+    scene = Scene(grid=np.zeros(36), y=np.zeros(36), shape=(6, 6), block=block)
+    batch = batch_of(rng.random((8, 36)))
+    assert_matches_pair_tensors(batch, scene.all_location_cells(), BeliefConfig(0.05))
+
+
+@pytest.mark.parametrize("cells", [1, 4])
+def test_pair_free_kernels_centre_before_squaring(cells):
+    # a common offset of 1e3 and a spread of 1e-6: 2 n_b sum a^2 - 2 (sum a)^2
+    # would lose every digit, so the forms must centre first. The kernel width
+    # follows the spread, so the pair distances are O(1).
+    rng = np.random.default_rng(cells)
+    batch = batch_of(1e3 + 1e-6 * rng.normal(size=(8, 16)))
+    coord_sets = rng.integers(0, 16, size=(16, cells))
+    assert_matches_pair_tensors(batch, coord_sets, BeliefConfig(sigma_x2=1e-12))
+
+
+@pytest.mark.parametrize("kernel", ["score_field", "marginal_entropy"])
+def test_measurement_kernels_allocate_no_pair_tensor(kernel):
+    # at n_b 16 and 1024 cells, one (n_b, n_b, 1024) float array is 2 MiB
+    batch = batch_of(np.random.default_rng(3).random((16, 1024)))
+    cands, coord_sets = list(range(1024)), np.arange(1024)[:, None]
+    call = {"score_field": lambda: score_field(batch, cands, coord_sets, CFG),
+            "marginal_entropy": lambda: marginal_entropy(batch, CFG)}[kernel]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{kernel} allocated a {peak / 2**20:.2f} MiB peak"
 
 
 def test_score_field_csv_export():

@@ -102,6 +102,29 @@ def test_run_with_trace_flag(tmp_path, config_path):
     assert len(trace.read_text().strip().splitlines()) == 1 + 36 + 35 + 34 + 33 + 32
 
 
+@pytest.mark.parametrize("step", [99, 4, -3])
+def test_scores_step_outside_budget_exits_1_before_the_episode(tmp_path, config_path,
+                                                               capsys, step):
+    out = tmp_path / "scores.csv"
+    code = main(["scores", "--config", str(config_path), "--seed", "1",
+                 "--out", str(out), "--budget", "4", "--step", str(step)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--step" in err and "0..3" in err
+    assert "running episode" not in err
+    assert not out.exists()
+
+
+def test_run_trace_and_out_on_one_path_exits_1(tmp_path, config_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--config", str(config_path), "--seed", "1",
+                 "--out", "ep.csv", "--trace", str(tmp_path / "ep.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--trace" in err and "--out" in err
+    assert not (tmp_path / "ep.csv").exists()
+
+
 def test_suite_command(tmp_path, config_path):
     doc = json.loads(config_path.read_text())
     doc["policies"] = ["random", "max_ent"]
