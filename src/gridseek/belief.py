@@ -69,7 +69,7 @@ class ParticleBatch:
         return self.denoised.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BeliefConfig:
     """Belief-mixture variance; the mixture weights its particles equally.
 

@@ -70,6 +70,7 @@ __all__ = [
     "RewardSpec",
     "ExperimentConfig",
     "read_value",
+    "scene_generator",
     "StepRecord",
     "EpisodeResult",
     "choose",
@@ -92,6 +93,8 @@ def _build(section: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its ``ValueError`` raised as a ConfigError naming ``section``."""
     try:
         return make(*args, **kwargs)
+    except ConfigError:  # names its key already
+        raise
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -138,7 +141,7 @@ def to_unit(values: np.ndarray) -> np.ndarray:
     return (np.asarray(values, dtype=float) + 1.0) / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleSpec:
     steps: int = 200
     beta_min: float = 1e-4
@@ -146,12 +149,15 @@ class ScheduleSpec:
     curve: str = "linear"
     sigma_mode: str = "posterior"
 
+    def __post_init__(self):
+        _build("schedule", self.build)  # make_schedule owns the schedule's rules
+
     def build(self):
         return make_schedule(self.steps, self.beta_min, self.beta_max,
                              self.curve, self.sigma_mode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     """Where scenes come from: a synthetic mixture or a grid file."""
 
@@ -175,7 +181,7 @@ class SceneSpec:
     block: int = 1
     noise: tuple[float, float] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("blobs", "file"):
             raise ConfigError(f"scene.kind must be 'blobs' or 'file', got {self.kind!r}")
         if self.kind == "blobs":
@@ -202,13 +208,13 @@ class SceneSpec:
             raise ConfigError("scene.noise must be [mu, sigma] with sigma >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardSpec:
     hidden: tuple[int, ...] = (16, 8)
     epochs: int = 3
     lr: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError("reward.hidden must list positive layer widths")
         if self.epochs < 1:
@@ -217,7 +223,7 @@ class RewardSpec:
             raise ConfigError("reward.lr must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
@@ -231,16 +237,12 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [1])
     prior: dict | None = None
 
-    def validate(self) -> None:
-        self.scene.validate()
-        self.reward.validate()
+    def __post_init__(self):
         if self.particles < 2:
             raise ConfigError("particles must be >= 2")
         # rules an engine constructor owns are checked by building it
-        _build("schedule", self.schedule.build)
         _build("guidance", GuidanceConfig, self.zeta, self.jacobian_mode)
         _build("belief", BeliefConfig, self.sigma_x2)
-        _build("policy", PolicyConfig, **vars(self.policy))
         _build("budget", build_measurement_schedule, self.schedule.steps, self.budget)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ConfigError("seeds must be a nonempty list of distinct non-negative integers")
@@ -303,7 +305,7 @@ def build_unit_prior(cfg: ExperimentConfig) -> GaussianMixturePrior:
             radius=cfg.scene.radius,
             variance=cfg.scene.variance,
         )
-    spec = cfg.prior  # its kind and path are checked by ExperimentConfig.validate
+    spec = cfg.prior  # its kind and path are checked when the config is built
     if spec["kind"] == "json":
         return GaussianMixturePrior.from_json(spec["path"])
     variance = read_value(float, spec.get("variance", 1e-3), "prior.variance")
@@ -321,6 +323,11 @@ def build_scene(cfg: ExperimentConfig, prior_unit: GaussianMixturePrior,
     return load_scene(cfg.scene.path, fmt=cfg.scene.format,
                       target=cfg.scene.target, block=cfg.scene.block,
                       noise=cfg.scene.noise)
+
+
+def scene_generator(seed: int) -> np.random.Generator:
+    """Episode ``seed``'s scene generator: the first child of ``SeedSequence(seed)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def build_prior_and_scene(cfg: ExperimentConfig, scene_rng: np.random.Generator):
@@ -409,16 +416,13 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     ``field_sink``, if given, receives (t, tau, ScoreField) right after each
     measurement's scores are computed, for score-field dumps.
     """
-    cfg.validate()
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(4 + cfg.particles)
-    scene_rng = np.random.default_rng(children[0])
+    children = np.random.SeedSequence(seed).spawn(4 + cfg.particles)  # [0] is scene_generator's
     noise_rng = np.random.default_rng(children[1])
     policy_rng = np.random.default_rng(children[2])
     reward_seed = int(children[3].generate_state(1)[0])
     particle_rngs = [np.random.default_rng(c) for c in children[4:]]
 
-    prior_unit, scene = build_prior_and_scene(cfg, scene_rng)
+    prior_unit, scene = build_prior_and_scene(cfg, scene_generator(seed))
     prior = prior_unit.affine(2.0, -1.0)
     sched = cfg.schedule.build()
     score_fn = lambda x, tau: gmm_score(x, tau, prior, sched)
@@ -487,59 +491,43 @@ def success_rate(results, B: int) -> float:
     return float(np.mean([r.sr_term for r in results]))
 
 
-def _suite_cell(args):
-    cfg, seed = args
-    return run_episode(cfg, seed)
-
-
 def run_suite(cfg: ExperimentConfig, policies=None, budgets=None, jobs: int = 1):
     """Run the (policy x budget x seed) matrix and aggregate per cell.
 
     Returns (rows, failures): rows are dicts sorted by (policy, budget),
     failures list (policy, budget, seed, message) without aborting the rest.
-    The prior and a scene are built once first, with the first seed, so a bad
-    scene or prior fails the whole suite before any cell runs.
+    The prior and the first seed's scene are built once first, so a bad scene
+    or prior fails the whole suite before any cell runs, as does a policy kind
+    or budget that makes no valid config.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cfg.validate()
-    build_prior_and_scene(cfg, np.random.default_rng(cfg.seeds[0]))
+    build_prior_and_scene(cfg, scene_generator(cfg.seeds[0]))
     if policies is None:
         policies = [cfg.policy.kind]
     if budgets is None:
         budgets = [cfg.budget]
-    cells = []
-    for kind in policies:
-        for budget in budgets:
-            sub = replace(
-                cfg, policy=replace(cfg.policy, kind=kind), budget=budget
-            )
-            sub.validate()
-            cells.append((kind, budget, sub))
-
-    tasks = [(kind, budget, sub, seed)
+    cells = [(kind, budget, replace(cfg, policy=replace(cfg.policy, kind=kind), budget=budget))
+             for kind in policies for budget in budgets]
+    tasks = [((kind, budget, seed), sub, seed)
              for kind, budget, sub in cells for seed in cfg.seeds]
     outcomes: dict[tuple, EpisodeResult] = {}
     failures: list[tuple] = []
 
+    def settle(key, play):
+        try:
+            outcomes[key] = play()
+        except Exception as exc:  # noqa: BLE001 - reported, not fatal
+            failures.append((*key, str(exc)))
+
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {
-                pool.submit(_suite_cell, (sub, seed)): (kind, budget, seed)
-                for kind, budget, sub, seed in tasks
-            }
-            for fut in concurrent.futures.as_completed(futs):
-                key = futs[fut]
-                try:
-                    outcomes[key] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - reported, not fatal
-                    failures.append((*key, str(exc)))
+            futs = [(key, pool.submit(run_episode, sub, seed)) for key, sub, seed in tasks]
+            for key, fut in futs:
+                settle(key, fut.result)
     else:
-        for kind, budget, sub, seed in tasks:
-            try:
-                outcomes[(kind, budget, seed)] = run_episode(sub, seed)
-            except Exception as exc:  # noqa: BLE001
-                failures.append((kind, budget, seed, str(exc)))
+        for key, sub, seed in tasks:
+            settle(key, lambda: run_episode(sub, seed))
 
     rows = []
     for kind, budget, _ in cells:

@@ -16,8 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from gridseek.bench import (
     ConfigError,
     ExperimentConfig,
@@ -25,9 +23,10 @@ from gridseek.bench import (
     read_value,
     run_episode,
     run_suite,
+    scene_generator,
     write_suite_csv,
 )
-from gridseek.env import save_scene
+from gridseek.env import _target_path, save_scene
 from gridseek.validate import run_all
 
 __all__ = ["main"]
@@ -54,13 +53,27 @@ def _load_config(path: str, args) -> ExperimentConfig:
         cfg = replace(cfg, policy=replace(cfg.policy, kind=args.policy))
     if getattr(args, "budget", None) is not None:
         cfg = replace(cfg, budget=args.budget)
-    cfg.validate()
     return cfg
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an output path that names the config file or another output."""
+    paths = {"--config": args.config, "--out": args.out}
+    if getattr(args, "trace", None):
+        paths["--trace"] = args.trace
+    if args.command == "gen-scene":
+        paths["--out's target map"] = _target_path(Path(args.out))
+    flags = {}
+    for flag, path in paths.items():
+        other = flags.setdefault(Path(path).resolve(), flag)
+        if other != flag:
+            raise _CliArgumentError(f"{other} and {flag} both name {path}; "
+                                    f"{flag} would overwrite it")
 
 
 def _cmd_gen_scene(args) -> int:
     cfg = _load_config(args.config, args)
-    _, scene = build_prior_and_scene(cfg, np.random.default_rng(args.seed))
+    _, scene = build_prior_and_scene(cfg, scene_generator(args.seed))
     save_scene(scene, args.out)
     _log(f"scene with {scene.n_target_locations} target locations -> {args.out}")
     return 0
@@ -86,9 +99,6 @@ def _field_dump(path, step=None):
 
 
 def _cmd_run(args) -> int:
-    if args.trace and Path(args.trace).resolve() == Path(args.out).resolve():
-        raise _CliArgumentError(f"--trace and --out both name {args.out}; the score "
-                                "fields would overwrite the step trace")
     cfg = _load_config(args.config, args)
     sink, write_fields = _field_dump(args.trace) if args.trace else (None, None)
     _log(f"running episode seed={args.seed} policy={cfg.policy.kind}")
@@ -106,7 +116,6 @@ def _cmd_suite(args) -> int:
     policies = read_value(list[str] | None, doc.pop("policies", None), "policies")
     budgets = read_value(list[int] | None, doc.pop("budgets", None), "budgets")
     cfg = ExperimentConfig.from_dict(doc)
-    cfg.validate()
     n_cells = (len(policies or [cfg.policy.kind]) * len(budgets or [cfg.budget]))
     _log(f"suite: {n_cells} cells x {len(cfg.seeds)} seeds, jobs={args.jobs}")
     rows, failures = run_suite(cfg, policies=policies, budgets=budgets,
@@ -185,6 +194,8 @@ def main(argv=None) -> int:
         _log(f"error: {exc}")
         return 1
     try:
+        if args.command != "validate":
+            _check_outputs(args)
         return args.func(args)
     except (_CliArgumentError, ConfigError, FileNotFoundError, ValueError) as exc:
         _log(f"error: {exc}")

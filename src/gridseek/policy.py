@@ -46,7 +46,7 @@ class ExhaustedCandidatesError(RuntimeError):
     """Raised when selection is asked to pick from an empty candidate set."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
     kind: str = "diffatd"
     alpha: float = 1.0

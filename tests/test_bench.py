@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridseek.bench
+from gridseek.belief import BeliefConfig
 from gridseek.bench import (
     ConfigError,
     EpisodeResult,
@@ -289,9 +290,8 @@ def test_suite_single_config_single_seed():
 
 
 def test_suite_duplicate_seeds_rejected():
-    cfg = tiny_cfg(seeds=[1, 1])
     with pytest.raises(ConfigError):
-        run_suite(cfg)
+        run_suite(tiny_cfg(seeds=[1, 1]))
 
 
 def test_suite_row_accounting():
@@ -328,6 +328,15 @@ def test_suite_partial_failure_report(tmp_path, monkeypatch):
     assert failures[0][:3] == (cfg.policy.kind, cfg.budget, 1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+def test_suite_reports_failed_episodes_from_worker_processes():
+    cfg = replace(default_benchmark_config(), zeta=1000.0, seeds=[1, 2])
+    rows, failures = run_suite(cfg, budgets=[1, 8], jobs=2)
+    assert [(r["B"], r["n_seeds"]) for r in rows] == [(1, 2)]
+    assert [f[:3] for f in failures] == [("diffatd", 8, 1), ("diffatd", 8, 2)]
+    assert all("tau=67" in f[3] for f in failures)
+
+
 def test_suite_rejects_missing_scene_before_any_cell(tmp_path):
     cfg = file_scene_cfg(tmp_path, seeds=[1, 2])
     (tmp_path / "scene.csv").unlink()
@@ -350,23 +359,49 @@ def test_suite_csv_output(tmp_path):
 
 def test_config_validation_errors_name_keys():
     with pytest.raises(ConfigError, match="budget"):
-        tiny_cfg(budget=0).validate()
+        tiny_cfg(budget=0)
     with pytest.raises(ConfigError, match="particles"):
-        tiny_cfg(particles=1).validate()
+        tiny_cfg(particles=1)
     with pytest.raises(ConfigError, match="budget"):
-        tiny_cfg(budget=50).validate()  # exceeds steps
+        tiny_cfg(budget=50)  # exceeds steps
     with pytest.raises(ConfigError, match="sigma_x2"):
-        tiny_cfg(sigma_x2=0.0).validate()
+        tiny_cfg(sigma_x2=0.0)
     with pytest.raises(ConfigError, match="seeds"):
-        tiny_cfg(seeds=[]).validate()
+        tiny_cfg(seeds=[])
     with pytest.raises(ConfigError, match="scene.threshold"):
-        tiny_cfg(scene=SceneSpec(kind="blobs", threshold=2.0)).validate()
+        tiny_cfg(scene=SceneSpec(kind="blobs", threshold=2.0))
+
+
+def test_replace_checks_the_copy():
+    cfg = tiny_cfg()
+    with pytest.raises(ConfigError, match="budget"):
+        replace(cfg, budget=0)
+    with pytest.raises(ConfigError, match=re.escape("scene.threshold")):
+        replace(cfg.scene, threshold=2.0)
+
+
+@pytest.mark.parametrize("config,name", [
+    (tiny_cfg(), "budget"),
+    (SceneSpec(), "threshold"),
+    (ScheduleSpec(), "steps"),
+    (RewardSpec(), "epochs"),
+    (PolicyConfig(), "kind"),
+    (BeliefConfig(), "sigma_x2"),
+], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v)
+def test_config_types_are_frozen(config, name):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(config, name, getattr(config, name))
+
+
+def test_nested_section_error_names_its_key_once():
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict({"scene": {"threshold": 2.0}})
+    assert str(info.value).count("scene.threshold") == 1
 
 
 def test_config_errors_surface_before_computation():
-    cfg = tiny_cfg(budget=0)
     with pytest.raises(ConfigError):
-        run_episode(cfg, seed=1)
+        run_episode(tiny_cfg(budget=0), seed=1)
 
 
 def test_config_json_round_trip(tmp_path):
@@ -394,9 +429,9 @@ def test_config_missing_file():
 
 def test_reward_spec_validation():
     with pytest.raises(ConfigError, match="reward.hidden"):
-        tiny_cfg(reward=RewardSpec(hidden=())).validate()
+        tiny_cfg(reward=RewardSpec(hidden=()))
     with pytest.raises(ConfigError, match="reward.epochs"):
-        tiny_cfg(reward=RewardSpec(epochs=0)).validate()
+        tiny_cfg(reward=RewardSpec(epochs=0))
 
 
 def test_config_round_trip_of_every_non_default_section(tmp_path):
@@ -413,7 +448,6 @@ def test_config_round_trip_of_every_non_default_section(tmp_path):
         reward=RewardSpec(hidden=(4,), epochs=2, lr=0.05),
         seeds=[3, 0, 9],
     )
-    cfg.validate()
     doc = json.loads(json.dumps(cfg.to_dict()))
     assert doc["prior"] == cfg.prior
     assert doc["scene"]["noise"] == [0.0, 0.05] and doc["reward"]["hidden"] == [4]
@@ -428,14 +462,14 @@ def test_config_round_trip_of_every_non_default_section(tmp_path):
     ({"kind": "dir", "path": "corpus", "variance": 0.5, "comment": ""}, "prior.comment"),
 ])
 def test_prior_section_rejects_keys_it_does_not_read(tmp_path, prior, key):
-    cfg = replace(file_scene_cfg(tmp_path), prior=prior)
+    base = file_scene_cfg(tmp_path)
     with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
-        cfg.validate()
+        replace(base, prior=prior)
 
 
 def test_blobs_scene_rejects_a_prior_section():
     with pytest.raises(ConfigError, match="prior"):
-        tiny_cfg(prior={"kind": "dir", "path": "corpus"}).validate()
+        tiny_cfg(prior={"kind": "dir", "path": "corpus"})
 
 
 def test_config_dict_has_no_out_dir_and_drops_unset_prior():
@@ -527,7 +561,6 @@ def test_config_reader_fuzz(data):
     section[path[-1]] = data.draw(JSON_VALUES)
     try:
         cfg = ExperimentConfig.from_dict(doc)
-        cfg.validate()
     except ConfigError:
         return
     assert conforms(ExperimentConfig, cfg)

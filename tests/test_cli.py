@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import gridseek.bench
+from gridseek.bench import build_scene
 from gridseek.cli import main
 from gridseek.diffusion import GaussianMixturePrior
 
@@ -123,6 +125,53 @@ def test_run_trace_and_out_on_one_path_exits_1(tmp_path, config_path, capsys, mo
     err = capsys.readouterr().err
     assert "--trace" in err and "--out" in err
     assert not (tmp_path / "ep.csv").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("gen-scene", ["--out", "CONFIG"]),
+    ("run", ["--out", "CONFIG"]),
+    ("run", ["--out", "ep.csv", "--trace", "CONFIG"]),
+    ("scores", ["--out", "CONFIG"]),
+    ("suite", ["--out", "CONFIG"]),
+], ids=["gen-scene", "run", "run-trace", "scores", "suite"])
+def test_output_naming_the_config_exits_1_and_keeps_it(tmp_path, config_path, capsys,
+                                                       monkeypatch, command, flags):
+    monkeypatch.chdir(tmp_path)
+    before = config_path.read_bytes()
+    flags = [str(config_path) if f == "CONFIG" else f for f in flags]
+    assert main([command, "--config", config_path.name, *flags]) == 1
+    err = capsys.readouterr().err
+    assert "--config" in err and flags[-2] in err
+    assert config_path.read_bytes() == before
+    assert not (tmp_path / "ep.csv").exists()
+
+
+def test_gen_scene_target_map_naming_the_config_exits_1(tmp_path, config_path, capsys):
+    config = tmp_path / "scene.target.csv"
+    config.write_bytes(config_path.read_bytes())
+    code = main(["gen-scene", "--config", str(config), "--out", str(tmp_path / "scene.csv")])
+    assert code == 1
+    assert "target map" in capsys.readouterr().err
+    assert config.read_bytes() == config_path.read_bytes()
+    assert not (tmp_path / "scene.csv").exists()
+
+
+def test_gen_scene_writes_the_scene_run_plays(tmp_path, config_path, monkeypatch):
+    played = []
+
+    def recording_build_scene(*args):
+        played.append(build_scene(*args))
+        return played[-1]
+
+    monkeypatch.setattr(gridseek.bench, "build_scene", recording_build_scene)
+    out = tmp_path / "scene.csv"
+    assert main(["gen-scene", "--config", str(config_path), "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert main(["run", "--config", str(config_path), "--seed", "7",
+                 "--out", str(tmp_path / "ep.csv")]) == 0
+    written, episode = played
+    np.testing.assert_array_equal(np.loadtxt(out, delimiter=",").ravel(), episode.grid)
+    np.testing.assert_array_equal(written.grid, episode.grid)
 
 
 def test_suite_command(tmp_path, config_path):
