@@ -68,6 +68,8 @@ __all__ = [
     "ScheduleSpec",
     "SceneSpec",
     "RewardSpec",
+    "JsonPrior",
+    "DirPrior",
     "ExperimentConfig",
     "read_value",
     "scene_generator",
@@ -86,7 +88,7 @@ class ConfigError(ValueError):
     """Raised before any computation when a configuration key is invalid."""
 
 
-_JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string", dict: "an object"}
+_JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _build(section: str, make, *args, **kwargs):
@@ -102,15 +104,20 @@ def _build(section: str, make, *args, **kwargs):
 def read_value(tp, value, key: str = ""):
     """A parsed JSON ``value`` read as the annotated type ``tp``, named ``key`` in errors.
 
-    This walk is the config schema. A dataclass takes an object of its fields
-    (missing ones keep their defaults); tuples and lists take arrays.
+    This walk is the config schema: a dataclass takes an object of its fields (one with no
+    default is required), a union of them the one its ``kind`` names, a tuple or list an array.
     """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
             return None
-        (inner,) = [a for a in args if a is not type(None)]
-        return read_value(inner, value, key)
+        members = [a for a in args if a is not type(None)]
+        if len(members) > 1 and isinstance(value, dict):  # told apart by their ``kind``
+            kinds, kind = [a.kind for a in members], value.get("kind")
+            if kind not in kinds:  # a list, so an unhashable kind is no TypeError
+                raise ConfigError(f"{key}.kind must be one of {kinds}, got {kind!r:.40}")
+            members = [members[kinds.index(kind)]]
+        return read_value(members[0], value, key)
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ConfigError(f"{key or 'config'} must be an object")
@@ -118,6 +125,9 @@ def read_value(tp, value, key: str = ""):
         for name in value:
             if name not in hints:
                 raise ConfigError(f"unknown key {prefix}{name}")
+        for f in dataclasses.fields(tp):
+            if f.name not in value and f.default is dataclasses.MISSING is f.default_factory:
+                raise ConfigError(f"missing key {prefix}{f.name}")
         return _build(key, tp, **{n: read_value(hints[n], v, prefix + n)
                                   for n, v in value.items()})
     if origin in (tuple, list):
@@ -127,7 +137,7 @@ def read_value(tp, value, key: str = ""):
     # type(), not isinstance(): a JSON true is no integer
     if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    if tp in (int, str, dict) and type(value) is tp:
+    if tp in (int, str) and type(value) is tp:
         return value
     raise ConfigError(f"{key} must be {_JSON_KINDS[tp]}, got {value!r:.40}")
 
@@ -204,6 +214,8 @@ class SceneSpec:
             _build("scene.target", _parse_target_spec, self.target)
         if self.block < 1:
             raise ConfigError("scene.block must be >= 1")
+        if self.kind == "blobs" and (self.rows % self.block or self.cols % self.block):
+            raise ConfigError(f"scene.block {self.block} must divide ({self.rows}, {self.cols})")
         if self.noise is not None and (len(self.noise) != 2 or self.noise[1] < 0.0):
             raise ConfigError("scene.noise must be [mu, sigma] with sigma >= 0")
 
@@ -224,6 +236,21 @@ class RewardSpec:
 
 
 @dataclass(frozen=True)
+class JsonPrior:
+    """A file scene's prior read from a ``GaussianMixturePrior.to_json`` file."""
+    path: str
+    kind: str = "json"
+
+
+@dataclass(frozen=True)
+class DirPrior:
+    """An empirical prior: one component of ``variance`` per grid file in ``path``."""
+    path: str
+    variance: float = 1e-3
+    kind: str = "dir"
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
@@ -234,10 +261,11 @@ class ExperimentConfig:
     sigma_x2: float = 1.0
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     reward: RewardSpec = field(default_factory=RewardSpec)
-    seeds: list[int] = field(default_factory=lambda: [1])
-    prior: dict | None = None
+    seeds: tuple[int, ...] = (1,)
+    prior: JsonPrior | DirPrior | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if self.particles < 2:
             raise ConfigError("particles must be >= 2")
         # rules an engine constructor owns are checked by building it
@@ -246,19 +274,8 @@ class ExperimentConfig:
         _build("budget", build_measurement_schedule, self.schedule.steps, self.budget)
         if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ConfigError("seeds must be a nonempty list of distinct non-negative integers")
-        if self.scene.kind == "blobs" and self.prior is not None:
-            raise ConfigError("prior: blobs scenes build their own prior; drop this section")
-        if self.scene.kind == "file" and not (
-            isinstance(self.prior, dict) and self.prior.get("kind") in ("json", "dir")
-            and isinstance(self.prior.get("path"), str)
-        ):
-            raise ConfigError("file scenes need prior = {kind: 'json' or 'dir', path: string}")
-        if self.prior is not None:  # a file scene's, so its kind is json or dir
-            kind = self.prior["kind"]
-            keys = {"kind", "path", "variance"} if kind == "dir" else {"kind", "path"}
-            unknown = sorted(self.prior.keys() - keys)
-            if unknown:
-                raise ConfigError(f"unknown key prior.{unknown[0]} for a {kind} prior")
+        if (self.scene.kind == "file") != (self.prior is not None):
+            raise ConfigError("prior: file scenes need a json or dir prior; blobs scenes take none")
 
     # ---------------------------------------------------------- dict round trip
 
@@ -305,11 +322,9 @@ def build_unit_prior(cfg: ExperimentConfig) -> GaussianMixturePrior:
             radius=cfg.scene.radius,
             variance=cfg.scene.variance,
         )
-    spec = cfg.prior  # its kind and path are checked when the config is built
-    if spec["kind"] == "json":
-        return GaussianMixturePrior.from_json(spec["path"])
-    variance = read_value(float, spec.get("variance", 1e-3), "prior.variance")
-    return GaussianMixturePrior.from_grids(load_grid_dir(spec["path"]), variance)
+    if isinstance(cfg.prior, DirPrior):
+        return GaussianMixturePrior.from_grids(load_grid_dir(cfg.prior.path), cfg.prior.variance)
+    return GaussianMixturePrior.from_json(cfg.prior.path)
 
 
 def build_scene(cfg: ExperimentConfig, prior_unit: GaussianMixturePrior,
@@ -573,5 +588,5 @@ def default_benchmark_config() -> ExperimentConfig:
         sigma_x2=1.0,
         policy=PolicyConfig(kind="diffatd"),
         reward=RewardSpec(),
-        seeds=list(range(1, 25)),
+        seeds=tuple(range(1, 25)),
     )

@@ -17,11 +17,11 @@ where xhat is the one-step denoised mean, followed by a measurement-guidance
 correction that pulls the trajectory toward the observed cells.
 
 Stability note on guidance: in ``scaled-identity`` mode the residual gradient
-carries a 1/sqrt(abar_tau) factor, which grows large on long schedules
-(abar_T ~ 4e-5 for the default T=1000 linear schedule). The default step size
-zeta=1.0 is well behaved for the shipped benchmark schedules (T <= ~500,
-abar_T >~ 0.01); for longer schedules reduce zeta or use ``exact`` mode,
-whose Jacobian vanishes at high noise by construction.
+carries a 1/sqrt(abar_tau) factor, which grows as abar_tau falls. On the linear
+beta 1e-4..0.02 schedule abar_T is 0.132 at the default T=200, 0.0064 at T=500
+and 4.0e-5 at T=1000. That this makes zeta=1.0 unstable on long schedules, and
+that ``exact`` mode (whose Jacobian vanishes at high noise) cures it, is
+unmeasured; ROADMAP.md lists the sweep that would settle it.
 """
 
 from __future__ import annotations

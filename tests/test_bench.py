@@ -6,6 +6,7 @@ import re
 import types
 import typing
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,19 +17,23 @@ import gridseek.bench
 from gridseek.belief import BeliefConfig
 from gridseek.bench import (
     ConfigError,
+    DirPrior,
     EpisodeResult,
     ExperimentConfig,
+    JsonPrior,
     RewardSpec,
     SceneSpec,
     ScheduleSpec,
+    build_prior_and_scene,
     default_benchmark_config,
     run_episode,
     run_suite,
+    scene_generator,
     success_rate,
     write_suite_csv,
 )
 from gridseek.env import load_scene
-from gridseek.policy import PolicyConfig
+from gridseek.policy import POLICY_KINDS, PolicyConfig
 
 
 def tiny_cfg(**overrides):
@@ -61,7 +66,7 @@ def file_scene_cfg(tmp_path, rows=6, cols=6, p_target=12, **overrides):
     prior.to_json(tmp_path / "prior.json")
     base = tiny_cfg(
         scene=SceneSpec(kind="file", path=str(tmp_path / "scene.csv")),
-        prior={"kind": "json", "path": str(tmp_path / "prior.json")},
+        prior=JsonPrior(str(tmp_path / "prior.json")),
     )
     return replace(base, **overrides)
 
@@ -238,7 +243,7 @@ def test_directory_prior_episode(tmp_path):
     scene_csv = tmp_path / "a.csv"
     cfg = tiny_cfg(
         scene=SceneSpec(kind="file", path=str(scene_csv), target="value>0.5"),
-        prior={"kind": "dir", "path": str(tmp_path), "variance": 0.01},
+        prior=DirPrior(str(tmp_path), variance=0.01),
         budget=4,
     )
     res = run_episode(cfg, seed=2)
@@ -387,10 +392,35 @@ def test_replace_checks_the_copy():
     (RewardSpec(), "epochs"),
     (PolicyConfig(), "kind"),
     (BeliefConfig(), "sigma_x2"),
+    (JsonPrior("prior.json"), "path"),
+    (DirPrior("corpus"), "variance"),
 ], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v) else v)
 def test_config_types_are_frozen(config, name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(config, name, getattr(config, name))
+
+
+def test_built_config_cannot_be_changed_and_hashes(tmp_path):
+    json_cfg = file_scene_cfg(tmp_path)
+    dir_cfg = ExperimentConfig.from_dict(
+        {**json_cfg.to_dict(), "prior": {"kind": "dir", "path": str(tmp_path)}})
+    for cfg in (default_benchmark_config(), json_cfg, dir_cfg):
+        assert hash(cfg) == hash(ExperimentConfig.from_dict(cfg.to_dict()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dir_cfg.prior.variance = 5
+    with pytest.raises(AttributeError):
+        json_cfg.seeds.append(1)
+    assert dir_cfg.prior == DirPrior(str(tmp_path), variance=1e-3)
+    assert json_cfg.seeds == (1, 2)
+
+
+def test_blob_block_that_does_not_divide_the_grid_is_refused_when_built():
+    with pytest.raises(ConfigError, match=re.escape("scene.block 3 must divide (4, 4)")):
+        SceneSpec(rows=4, cols=4, radius=1.0, block=3)
+    with pytest.raises(ConfigError, match=re.escape("scene.block 2 must divide (4, 5)")):
+        SceneSpec(rows=4, cols=5, radius=1.0, block=2)
+    SceneSpec(rows=4, cols=6, radius=1.0, block=2)
+    SceneSpec(kind="file", path="scene.csv", block=3)  # checked when the grid is loaded
 
 
 def test_nested_section_error_names_its_key_once():
@@ -410,6 +440,14 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps(cfg.to_dict()))
     back = ExperimentConfig.from_json(path)
     assert back == cfg
+
+
+def test_readme_config_example_is_the_default_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    doc = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert doc.keys() == ExperimentConfig().to_dict().keys()
+    assert ExperimentConfig.from_dict(doc) == ExperimentConfig(seeds=(1, 2, 3, 4, 5))
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -449,7 +487,7 @@ def test_config_round_trip_of_every_non_default_section(tmp_path):
         seeds=[3, 0, 9],
     )
     doc = json.loads(json.dumps(cfg.to_dict()))
-    assert doc["prior"] == cfg.prior
+    assert doc["prior"] == {"kind": "json", "path": cfg.prior.path}
     assert doc["scene"]["noise"] == [0.0, 0.05] and doc["reward"]["hidden"] == [4]
     back = ExperimentConfig.from_dict(doc)
     assert back == cfg
@@ -462,9 +500,9 @@ def test_config_round_trip_of_every_non_default_section(tmp_path):
     ({"kind": "dir", "path": "corpus", "variance": 0.5, "comment": ""}, "prior.comment"),
 ])
 def test_prior_section_rejects_keys_it_does_not_read(tmp_path, prior, key):
-    base = file_scene_cfg(tmp_path)
+    doc = {**file_scene_cfg(tmp_path).to_dict(), "prior": prior}
     with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
-        replace(base, prior=prior)
+        ExperimentConfig.from_dict(doc)
 
 
 def test_blobs_scene_rejects_a_prior_section():
@@ -564,3 +602,65 @@ def test_config_reader_fuzz(data):
     except ConfigError:
         return
     assert conforms(ExperimentConfig, cfg)
+
+
+TINY_BLOB_CONFIGS = st.fixed_dictionaries({
+    "scene": st.fixed_dictionaries({
+        "rows": st.sampled_from([7, 6, 5, 4, 3, 2, 1]),
+        "cols": st.sampled_from([7, 6, 5, 4, 3, 2, 1]),
+        "components": st.integers(1, 3), "blobs_per_component": st.integers(1, 2),
+        "radius": st.sampled_from([0.5, 1.0, 1.5]),
+        "variance": st.sampled_from([0.0, 0.0016, 0.05]),
+        "threshold": st.sampled_from([0.2, 0.5, 0.8]),
+        "layout_seed": st.integers(0, 3), "block": st.sampled_from([1, 1, 2, 3]),
+        "noise": st.none() | st.tuples(st.sampled_from([-0.1, 0.0]),
+                                       st.sampled_from([0.0, 0.1])).map(list),
+    }),
+    "schedule": st.fixed_dictionaries({
+        "steps": st.sampled_from([30, 20, 12, 6, 1]),
+        "beta_max": st.sampled_from([0.02, 0.2, 0.6]),
+        "curve": st.sampled_from(["linear", "cosine"]),
+        "sigma_mode": st.sampled_from(["posterior", "zero"]),
+    }),
+    "budget": st.integers(1, 12),
+    "particles": st.integers(2, 4),
+    "zeta": st.sampled_from([1.0, 0.3, 0.0, 1000.0]),
+    "jacobian_mode": st.sampled_from(["scaled-identity", "exact"]),
+    "sigma_x2": st.sampled_from([0.1, 1.0]),
+    "policy": st.fixed_dictionaries({
+        "kind": st.sampled_from(POLICY_KINDS),
+        "alpha": st.sampled_from([0.5, 1.0]),
+        "combine_mode": st.sampled_from(["exploit", "likeli"]),
+        "normalize": st.sampled_from(["minmax", "none"]),
+        "tie_break": st.sampled_from(["lowest_index", "seeded_random"]),
+        "epsilon": st.sampled_from([0.0, 0.5]),
+        "kappa_override": st.sampled_from([None, 0.0, 0.5, 1.0]),
+    }),
+    "reward": st.fixed_dictionaries({
+        "hidden": st.sampled_from([[2], [4, 3]]),
+        "epochs": st.integers(1, 2),
+        "lr": st.sampled_from([0.0, 0.05]),
+    }),
+})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a blow-up overflows before it is caught
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=TINY_BLOB_CONFIGS, seed=st.integers(0, 2**32 - 1))
+def test_built_blob_config_plays_or_fails_by_name(doc, seed):
+    """A config that builds either fails with a named error or plays a whole episode."""
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+        build_prior_and_scene(cfg, scene_generator(seed))
+    except ConfigError:
+        return
+    try:
+        res = run_episode(cfg, seed)
+    except FloatingPointError:
+        return
+    block = cfg.scene.block
+    locations = (cfg.scene.rows // block) * (cfg.scene.cols // block)
+    assert len(res.records) == min(cfg.budget, locations)
+    for r in res.records:
+        assert all(math.isfinite(v) for v in dataclasses.astuple(r))
+    assert 0.0 <= res.sr_term <= 1.0
