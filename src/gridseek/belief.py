@@ -96,17 +96,14 @@ class ScoreField:
     exploitation: np.ndarray
     combined: np.ndarray | None = field(default=None)
 
+    def row(self, i: int) -> tuple:
+        """(location, expl, likeli, reward, exploit, combined) at i; combined is NaN until mixed."""
+        combined = float("nan") if self.combined is None else float(self.combined[i])
+        return (self.locations[i], float(self.exploration[i]), float(self.likelihood[i]),
+                float(self.reward[i]), float(self.exploitation[i]), combined)
+
     def csv_rows(self):
-        combined = self.combined
-        for i, loc in enumerate(self.locations):
-            yield (
-                loc,
-                float(self.exploration[i]),
-                float(self.likelihood[i]),
-                float(self.reward[i]),
-                float(self.exploitation[i]),
-                float(combined[i]) if combined is not None else float("nan"),
-            )
+        return map(self.row, range(len(self.locations)))
 
 
 def _coords(location, dim: int) -> np.ndarray:

@@ -192,8 +192,15 @@ class SceneSpec:
     noise: tuple[float, float] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "noise", None if self.noise is None else tuple(self.noise))
         if self.kind not in ("blobs", "file"):
             raise ConfigError(f"scene.kind must be 'blobs' or 'file', got {self.kind!r}")
+        unread = ("path", "format", "target") if self.kind == "blobs" else (
+            "rows", "cols", "components", "blobs_per_component", "background",
+            "amplitude", "radius", "variance", "threshold", "layout_seed")
+        for key in unread:
+            if getattr(self, key) != getattr(SceneSpec, key):
+                raise ConfigError(f"scene.{key} is not read by a {self.kind} scene")
         if self.kind == "blobs":
             if self.rows < 1 or self.cols < 1:
                 raise ConfigError("scene.rows and scene.cols must be positive")
@@ -227,6 +234,7 @@ class RewardSpec:
     lr: float = 0.01
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ConfigError("reward.hidden must list positive layer widths")
         if self.epochs < 1:
@@ -376,6 +384,11 @@ class StepRecord:
 TRACE_HEADER = "t,tau,location,expl,likeli,reward,exploit,combined,y,entropy"
 
 
+def csv_text(header: str, rows) -> str:
+    """The ``header`` line, then one comma-joined line per row of values written with ``str``."""
+    return "".join([header + "\n", *(",".join(map(str, row)) + "\n" for row in rows)])
+
+
 @dataclass
 class EpisodeResult:
     policy: str
@@ -394,13 +407,8 @@ class EpisodeResult:
         return self.r_total / min(self.budget, self.u)
 
     def trace_csv(self) -> str:
-        lines = [TRACE_HEADER]
-        for r in self.records:
-            lines.append(
-                f"{r.t},{r.tau},{r.location},{r.expl!r},{r.likeli!r},"
-                f"{r.reward_sum!r},{r.exploit!r},{r.combined!r},{r.y!r},{r.entropy!r}"
-            )
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in dataclasses.fields(StepRecord)]
+        return csv_text(TRACE_HEADER, ([getattr(r, n) for n in names] for r in self.records))
 
     def write_trace(self, path) -> None:
         Path(path).write_text(self.trace_csv())
@@ -478,15 +486,8 @@ def run_episode(cfg: ExperimentConfig, seed: int,
             m = measure(scene, location, noise_rng)
             state.apply(m, to_engine(m.content))
             net = train(net, state.dataset, cfg.reward.epochs, cfg.reward.lr)
-            records.append(StepRecord(
-                t=state.t, tau=tau, location=location,
-                expl=float(field_now.exploration[picked]),
-                likeli=float(field_now.likelihood[picked]),
-                reward_sum=float(field_now.reward[picked]),
-                exploit=float(field_now.exploitation[picked]),
-                combined=float(field_now.combined[picked]),
-                y=m.y, entropy=marginal_entropy(snapshot, bcfg),
-            ))
+            records.append(StepRecord(state.t, tau, *field_now.row(picked), m.y,
+                                      marginal_entropy(snapshot, bcfg)))
     wall = time.perf_counter() - start
 
     return EpisodeResult(
@@ -565,28 +566,10 @@ def run_suite(cfg: ExperimentConfig, policies=None, budgets=None, jobs: int = 1)
 
 
 def write_suite_csv(rows, path) -> None:
-    lines = ["policy,B,mean_SR,std_SR,n_seeds,mean_runtime"]
-    for r in rows:
-        lines.append(
-            f"{r['policy']},{r['B']},{r['mean_SR']!r},{r['std_SR']!r},"
-            f"{r['n_seeds']},{r['mean_runtime']!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    keys = ["policy", "B", "mean_SR", "std_SR", "n_seeds", "mean_runtime"]
+    Path(path).write_text(csv_text(",".join(keys), ([r[k] for k in keys] for r in rows)))
 
 
 def default_benchmark_config() -> ExperimentConfig:
-    """The shipped synthetic benchmark: 16x16 scenes from an 8-way mixture."""
-    return ExperimentConfig(
-        scene=SceneSpec(kind="blobs", rows=16, cols=16, components=8,
-                        blobs_per_component=2, background=0.1, amplitude=0.8,
-                        radius=2.0, variance=0.0016, threshold=0.5,
-                        layout_seed=0),
-        schedule=ScheduleSpec(steps=200),
-        budget=32,
-        particles=8,
-        zeta=1.0,
-        sigma_x2=1.0,
-        policy=PolicyConfig(kind="diffatd"),
-        reward=RewardSpec(),
-        seeds=tuple(range(1, 25)),
-    )
+    """The shipped benchmark: the default config, 16x16 scenes from an 8-way mixture, seeds 1-24."""
+    return ExperimentConfig(seeds=tuple(range(1, 25)))

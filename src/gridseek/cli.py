@@ -20,6 +20,7 @@ from gridseek.bench import (
     ConfigError,
     ExperimentConfig,
     build_prior_and_scene,
+    csv_text,
     read_value,
     run_episode,
     run_suite,
@@ -84,15 +85,14 @@ def _field_dump(path, step=None):
 
     With ``step`` set, only that measurement's field is kept.
     """
-    lines = ["t,tau,location,expl,likeli,reward,exploit,combined"]
+    rows = []
 
     def sink(t, tau, field):
         if step is None or t == step:
-            lines.extend(f"{t},{tau},{loc},{e!r},{l!r},{r!r},{x!r},{c!r}"
-                         for loc, e, l, r, x, c in field.csv_rows())
+            rows.extend((t, tau, *row) for row in field.csv_rows())
 
     def write():
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(csv_text("t,tau,location,expl,likeli,reward,exploit,combined", rows))
         _log(f"score fields -> {path}")
 
     return sink, write

@@ -174,11 +174,8 @@ def make_blob_prior(
                 -((rr - cr) ** 2 + (cc - cx) ** 2) / (2.0 * radius**2)
             )
             field = np.maximum(field, background + bump)
-        means.append(np.clip(field, 0.0, 1.0).ravel())
-    k = len(means)
-    return GaussianMixturePrior(
-        np.full(k, 1.0 / k), np.stack(means), np.full(k, float(variance))
-    )
+        means.append(np.clip(field, 0.0, 1.0))
+    return GaussianMixturePrior.from_grids(means, variance)
 
 
 def _parse_target_spec(spec: str):

@@ -92,17 +92,19 @@ class RewardNet:
 
 
 def _forward(net: RewardNet, X: np.ndarray):
-    """Returns per-layer pre-activations and activations; last entry is the logit.
-
-    Training reads these lists; scoring goes through ``_logits``.
-    """
+    """Returns per-layer pre-activations and activations; last entry is the logit."""
     pres, acts = [], [X]
     h = X
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         pres.append(z)
-        h = z if i == last else np.where(z > 0.0, z, LEAK * z)
+        if i == last:
+            h = z
+        else:  # max(z, LEAK * z) written into LEAK * z: one (rows, width) array less per layer
+            h = LEAK * z
+            np.maximum(z, h, out=h)
         acts.append(h)
     return pres, acts
 
@@ -110,23 +112,17 @@ def _forward(net: RewardNet, X: np.ndarray):
 def _logits(net: RewardNet, X: np.ndarray) -> np.ndarray:
     """The (n,) output logits of ``_forward``, computed in row blocks.
 
-    Keeps no per-layer lists. Blocks start at multiples of PREDICT_BLOCK, so
-    each row keeps its place in the BLAS kernels' row groups, and a lone last
-    row joins the block before it, because numpy multiplies a one-row matrix
-    through another BLAS routine whose rounding differs. So the logits are
-    bit-identical to ``_forward``'s.
+    Blocks start at multiples of PREDICT_BLOCK, so each row keeps its place
+    in the BLAS kernels' row groups, and a lone last row joins the block
+    before it, because numpy multiplies a one-row matrix through another BLAS
+    routine whose rounding differs. So the logits are bit-identical to one
+    ``_forward`` over all rows.
     """
     n = X.shape[0]
     out = np.empty(n)
     edges = [*range(0, max(n - 1, 1), PREDICT_BLOCK), n]
-    last = len(net.weights) - 1
     for start, stop in zip(edges[:-1], edges[1:]):
-        h = X[start:stop]
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = h @ w
-            z += b
-            h = z if i == last else np.maximum(z, LEAK * z)
-        out[start:stop] = h[:, 0]
+        out[start:stop] = _forward(net, X[start:stop])[0][-1][:, 0]
     return out
 
 

@@ -479,3 +479,15 @@ def test_dir_prior_grid_that_is_a_directory_exits_1_naming_it(tmp_path, config_p
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert_exit_1_naming(tmp_path, capsys, path, "grid-folder.csv")
+
+
+def test_scene_key_its_kind_does_not_read_exits_1_naming_it(tmp_path, config_path, capsys):
+    blobs = tmp_path / "blobs.json"
+    blobs.write_text(json.dumps({"scene": {"path": "my_grid.csv", "format": "csv"},
+                                 "budget": 4, "schedule": {"steps": 20}}))
+    assert_exit_1_naming(tmp_path, capsys, blobs, "scene.path is not read by a blobs scene")
+    doc = use_file_scene(json.loads(config_path.read_text()), tmp_path)
+    doc["scene"]["threshold"] = 5.0
+    file_cfg = tmp_path / "file.json"
+    file_cfg.write_text(json.dumps(doc))
+    assert_exit_1_naming(tmp_path, capsys, file_cfg, "scene.threshold is not read by a file scene")
