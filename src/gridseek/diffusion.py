@@ -16,6 +16,11 @@ learned network is involved. Reverse sampling follows the ancestral update
 where xhat is the one-step denoised mean, followed by a measurement-guidance
 correction that pulls the trajectory toward the observed cells.
 
+The mixture kernels scale step-invariant constants (x.mu_k, ||mu_k||^2,
+w @ mu) by sqrt(abar) instead of forming the step's means sqrt(abar) mu_k,
+and one responsibility evaluation serves a step's score and its ``exact``
+guidance product alike.
+
 Stability note on guidance: in ``scaled-identity`` mode the residual gradient
 carries a 1/sqrt(abar_tau) factor, which grows as abar_tau falls. On the linear
 beta 1e-4..0.02 schedule abar_T is 0.132 at the default T=200, 0.0064 at T=500
@@ -29,7 +34,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,6 +167,13 @@ class GaussianMixturePrior:
         if np.any(v < 0.0):
             raise ValueError("variances must be non-negative")
 
+    @cached_property
+    def mean_sq_norms(self) -> np.ndarray:
+        """||mu_k||^2 per component, (K,), read-only; kept, as the frozen prior cannot change."""
+        norms = np.sum(self.means * self.means, axis=1)
+        norms.flags.writeable = False
+        return norms
+
     @property
     def n_components(self) -> int:
         return self.means.shape[0]
@@ -256,24 +270,20 @@ class GuidanceConfig:
             raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
 
-def _marginal_params(tau: int, prior: GaussianMixturePrior, sched: NoiseSchedule):
-    """Means and per-component variances of the mixture marginal at step tau."""
+def _component_log_terms(x: np.ndarray, tau, prior, sched):
+    """log w_k + log N(x; m_k, s_k I), shape (..., K), with sqrt(abar) and s_k.
+
+    The step-tau marginal has means m_k = sqrt(abar) mu_k and variances
+    s_k = abar v_k + (1 - abar). ||x - m_k||^2 is taken in Gram form from
+    step-invariant constants, ||x||^2 - 2 sqrt(abar) x.mu_k + abar ||mu_k||^2:
+    one (..., N) @ (N, K) product with the prior's own means and its cached
+    ||mu_k||^2. Neither a (..., K, N) difference tensor nor the m_k are formed.
+    """
     sched._check_tau(tau)
     abar = sched.alpha_bar[tau - 1]
-    means = math.sqrt(abar) * prior.means
-    variances = abar * prior.variances + (1.0 - abar)
-    return means, variances
-
-
-def _component_log_terms(x: np.ndarray, tau, prior, sched):
-    """log w_k + log N(x; m_k, s_k I), shape (..., K), and the m_k and s_k used.
-
-    ||x - m_k||^2 is taken in Gram form, ||x||^2 - 2 x.m_k + ||m_k||^2: one
-    (..., N) @ (N, K) product, no (..., K, N) difference tensor.
-    """
-    means, variances = _marginal_params(tau, prior, sched)
-    sq = (np.sum(x * x, axis=-1, keepdims=True) - 2.0 * (x @ means.T)
-          + np.sum(means * means, axis=-1))  # (..., K)
+    root, variances = math.sqrt(abar), abar * prior.variances + (1.0 - abar)
+    sq = (np.sum(x * x, axis=-1, keepdims=True) - (2.0 * root) * (x @ prior.means.T)
+          + abar * prior.mean_sq_norms)  # (..., K)
     np.maximum(sq, 0.0, out=sq)  # rounding may leave a near-zero distance below 0
     n = prior.dimension
     terms = (
@@ -281,20 +291,40 @@ def _component_log_terms(x: np.ndarray, tau, prior, sched):
         - 0.5 * n * np.log(2.0 * math.pi * variances)
         - 0.5 * sq / variances
     )
-    return terms, means, variances
+    return terms, root, variances
 
 
-def _responsibilities(x: np.ndarray, tau, prior, sched):
-    """Posterior weights rho_k (..., K), marginal means m_k (K, N) and variances s_k."""
-    terms, means, variances = _component_log_terms(x, tau, prior, sched)
+def _weighted_pulls(w: np.ndarray, root: float, means: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k w_k (m_k - x) with m_k = root mu_k, taken as (root w) @ mu - (sum_k w_k) x."""
+    pulls = (root * w) @ means
+    pulls -= np.sum(w, axis=-1, keepdims=True) * x
+    return pulls
+
+
+class _StepTerms(NamedTuple):
+    """One step's mixture terms at x: w_k = rho_k / s_k, sqrt(abar), s_k and the score."""
+    w: np.ndarray
+    root: float
+    variances: np.ndarray
+    score: np.ndarray
+
+
+def _step_terms(x: np.ndarray, tau, prior, sched) -> _StepTerms:
+    """The responsibilities rho_k, evaluated once at (x, tau), and the score built from them."""
+    terms, root, variances = _component_log_terms(x, tau, prior, sched)
     resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
     resp /= resp.sum(axis=-1, keepdims=True)
-    return resp, means, variances
+    w = resp / variances
+    return _StepTerms(w, root, variances, _weighted_pulls(w, root, prior.means, x))
 
 
-def _weighted_pulls(w: np.ndarray, means: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k w_k (m_k - x), taken as w @ M - (sum_k w_k) x."""
-    return w @ means - np.sum(w, axis=-1, keepdims=True) * x
+def _step_hvp(terms: _StepTerms, x: np.ndarray, v: np.ndarray, prior) -> np.ndarray:
+    """H(x) v from the terms ``_step_terms`` made at the same x; see ``gmm_score_hessian``."""
+    w, root, variances, score = terms
+    pv = (root * (v @ prior.means.T) - np.sum(x * v, axis=-1, keepdims=True)) / variances  # p_k . v
+    return (_weighted_pulls(w * pv, root, prior.means, x)
+            - np.sum(w, axis=-1, keepdims=True) * v
+            - np.sum(score * v, axis=-1, keepdims=True) * score)
 
 
 def gmm_log_density(x, tau: int, prior: GaussianMixturePrior,
@@ -316,9 +346,7 @@ def gmm_score(x, tau: int, prior: GaussianMixturePrior,
     Gaussian scores, sum_k rho_k (m_k - x) / s_k = w @ M - (sum_k w_k) x with
     w_k = rho_k / s_k. Broadcasts over leading axes of ``x``.
     """
-    x = _check_state(x, prior)
-    resp, means, variances = _responsibilities(x, tau, prior, sched)
-    return _weighted_pulls(resp / variances, means, x)
+    return _step_terms(_check_state(x, prior), tau, prior, sched).score
 
 
 def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
@@ -332,13 +360,7 @@ def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
     pull tensor is formed. Broadcasts over leading axes.
     """
     x, v = _check_state(x, prior), _check_state(v, prior)
-    resp, means, variances = _responsibilities(x, tau, prior, sched)
-    w = resp / variances
-    score = _weighted_pulls(w, means, x)
-    pv = (v @ means.T - np.sum(x * v, axis=-1, keepdims=True)) / variances  # p_k . v
-    return (_weighted_pulls(w * pv, means, x)
-            - np.sum(w, axis=-1, keepdims=True) * v
-            - np.sum(score * v, axis=-1, keepdims=True) * score)
+    return _step_hvp(_step_terms(x, tau, prior, sched), x, v, prior)
 
 
 def _check_state(x, prior: GaussianMixturePrior) -> np.ndarray:

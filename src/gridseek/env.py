@@ -233,13 +233,19 @@ def _read_pgm(path: Path) -> np.ndarray:
         tok = m.group(1)
         if not tok.startswith(b"#"):
             tokens.append(tok)
-    magic, width, height, maxval = tokens[0], *(int(t) for t in tokens[1:])
+    try:
+        magic, width, height, maxval = tokens[0], *(int(t) for t in tokens[1:])
+    except ValueError as exc:  # a size or maxval that is no integer
+        raise SceneFormatError(f"{path}: {exc}") from exc
     if width < 1 or height < 1:
         raise SceneFormatError(f"{path}: bad size {width}x{height}")
     if not 0 < maxval < 65536:
         raise SceneFormatError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
-        values = np.array(data[pos:].split(), dtype=float)
+        try:
+            values = np.array(data[pos:].split(), dtype=float)
+        except ValueError as exc:  # a pixel that is no number
+            raise SceneFormatError(f"{path}: {exc}") from exc
     elif magic == b"P5":
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         if len(data) - pos - 1 < width * height * dtype.itemsize:
@@ -250,7 +256,9 @@ def _read_pgm(path: Path) -> np.ndarray:
         raise SceneFormatError(f"{path}: unsupported magic {magic!r}")
     if values.size != width * height:
         raise SceneFormatError(f"{path}: expected {width * height} pixels")
-    return _require_finite(path, (values / maxval).reshape(height, width))
+    if _require_finite(path, values).max() > maxval:
+        raise SceneFormatError(f"{path}: a pixel exceeds maxval {maxval}")
+    return (values / maxval).reshape(height, width)
 
 
 def load_scene(
@@ -289,6 +297,8 @@ def load_scene(
         y = _read_csv_grid(target_file)
         if y.shape != raw.shape:
             raise SceneFormatError(f"{target_file}: shape differs from grid")
+        if y.min() < 0.0 or y.max() > 1.0:
+            raise SceneFormatError(f"{target_file}: target ratios must lie in [0, 1]")
     elif rule == "counts":
         top = grid.max()
         y = grid / top if top > 0.0 else np.zeros_like(grid)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gridseek.bench
+import gridseek.diffusion
 from gridseek.belief import BeliefConfig
 from gridseek.bench import (
     ConfigError,
@@ -484,6 +485,25 @@ def test_reference_episodes_keep_their_picks():
         picks = "".join(f"{r.t},{r.tau},{r.location},{r.y!r}\n" for r in records)
         got.append(hashlib.sha256(picks.encode()).hexdigest()[:16])
     assert got == REFERENCE_PICKS
+
+
+def test_exact_episode_evaluates_the_mixture_once_per_reverse_step(monkeypatch):
+    """T log-term evaluations per exact-mode episode: each guidance product reuses its step's."""
+    calls = {"log_terms": 0, "products": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gridseek.diffusion, "_component_log_terms",
+                        counted("log_terms", gridseek.diffusion._component_log_terms))
+    monkeypatch.setattr(gridseek.bench, "_step_hvp", counted("products", gridseek.bench._step_hvp))
+    cfg = replace(default_benchmark_config(), jacobian_mode="exact")
+    run_episode(cfg, 7)
+    assert calls["products"] > 100  # guided from the first measurement on
+    assert calls["log_terms"] == cfg.schedule.steps
 
 
 def test_nested_section_error_names_its_key_once():

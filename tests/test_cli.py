@@ -313,6 +313,9 @@ def test_non_object_config_document_exits_1(tmp_path, capsys, command):
     (True, "scene.target", "file", "scene.target.csv"),
     (True, "scene.path", "wide.pgm", "wide.pgm"),
     (True, "scene.path", "folder.csv", "folder.csv"),
+    (True, "scene.path", "header.pgm", "header.pgm"),
+    (True, "scene.path", "pixel.pgm", "pixel.pgm"),
+    (True, "scene.path", "above.pgm", "above.pgm"),
 ])
 def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path, capsys,
                                                            file_scene, key, value, named):
@@ -322,6 +325,9 @@ def test_scene_and_prior_errors_exit_1_under_run_and_suite(tmp_path, config_path
         use_file_scene(doc, tmp_path)
         (tmp_path / "wide.pgm").write_bytes(b"P5 99999999999999999999 1 255\n\0")
         (tmp_path / "folder.csv").mkdir()
+        (tmp_path / "header.pgm").write_text("P2\nabc 6\n10\n" + " 1" * 36)  # size not an integer
+        (tmp_path / "pixel.pgm").write_text("P2\n6 6\n10\n" + " 1" * 35 + " x")  # pixel not a number
+        (tmp_path / "above.pgm").write_text("P2\n6 6\n10\n" + " 1" * 35 + " 300")  # above maxval
         value = value if key == "scene.target" else str(tmp_path / value)
     set_key(doc, key, value)
     path = tmp_path / "bad.json"

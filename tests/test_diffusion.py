@@ -20,6 +20,8 @@ from gridseek.diffusion import (
     make_schedule,
     tweedie_denoise,
 )
+from gridseek.diffusion import _step_hvp, _step_terms
+from gridseek.env import make_blob_prior
 
 
 def random_prior(rng, dim, k):
@@ -331,6 +333,42 @@ def test_hessian_vector_product_matches_score_finite_difference():
     fd = (gmm_score(x + h * v, tau, prior, sched)
           - gmm_score(x - h * v, tau, prior, sched)) / (2 * h)
     np.testing.assert_allclose(gmm_score_hessian(x, tau, prior, sched, v), fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_shared_terms_product_is_the_hessian_product_bit_for_bit(case):
+    """The product on a step's kept terms equals a from-scratch gmm_score_hessian exactly."""
+    prior, sched, tau, x, v = mixture_case(case)
+    terms = _step_terms(x, tau, prior, sched)
+    np.testing.assert_array_equal(terms.score, gmm_score(x, tau, prior, sched))
+    np.testing.assert_array_equal(_step_hvp(terms, x, v, prior),
+                                  gmm_score_hessian(x, tau, prior, sched, v))
+
+
+@pytest.mark.parametrize("tau", [1, 20, 100, 200])
+def test_step_invariant_kernels_match_difference_form_at_wide32_shape(tau):
+    """n_b 16, K 32, N 1024, the 32x32 benchmark's prior: score and product within 1e-12."""
+    prior = make_blob_prior((32, 32), n_components=32).affine(2.0, -1.0)
+    sched = make_schedule(200)
+    rng = np.random.default_rng(tau)
+    abar = sched.alpha_bar[tau - 1]
+    x = (math.sqrt(abar) * prior.means[rng.integers(0, 32, 16)]
+         + math.sqrt(1.0 - abar) * rng.standard_normal((16, 1024)))
+    v = rng.standard_normal((16, 1024))
+    hv = np.stack([dense_score_hessian(xi, tau, prior, sched) @ vi for xi, vi in zip(x, v)])
+    for got, want in [(gmm_score(x, tau, prior, sched), difference_score(x, tau, prior, sched)),
+                      (gmm_score_hessian(x, tau, prior, sched, v), hv)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_prior_caches_its_squared_mean_norms():
+    prior = random_prior(np.random.default_rng(31), 9, 5)
+    norms = prior.mean_sq_norms
+    np.testing.assert_array_equal(norms, np.sum(prior.means**2, axis=1))
+    assert prior.mean_sq_norms is norms  # computed once
+    assert not norms.flags.writeable
+    shifted = prior.affine(2.0, -1.0)  # a new prior gets its own
+    np.testing.assert_array_equal(shifted.mean_sq_norms, np.sum(shifted.means**2, axis=1))
 
 
 # ------------------------------------------------------------------ tweedie

@@ -273,6 +273,26 @@ def test_pgm_header_range_checked(tmp_path, header):
         load_scene(p, target="counts")
 
 
+@pytest.mark.parametrize("body", [
+    b"P2\n2 1\n10\n3 11\n",
+    b"P5\n2 1\n10\n" + bytes([3, 11]),
+    b"P5\n2 1\n1000\n" + bytes([0, 250, 3, 233]),  # 16-bit, 1001
+], ids=["p2", "p5-8-bit", "p5-16-bit"])
+def test_pgm_sample_above_maxval_rejected(tmp_path, body):
+    p = tmp_path / "img.pgm"
+    p.write_bytes(body)
+    with pytest.raises(SceneFormatError, match="img.pgm: a pixel exceeds maxval"):
+        load_scene(p, target="counts")
+
+
+@pytest.mark.parametrize("ratio", ["1.5", "-0.5"])
+def test_target_file_ratio_outside_unit_interval_names_the_file(tmp_path, ratio):
+    (tmp_path / "g.csv").write_text("0.2,0.4\n0.6,0.8\n")
+    (tmp_path / "g.target.csv").write_text(f"0,{ratio}\n1,1\n")
+    with pytest.raises(SceneFormatError, match=r"g.target.csv: target ratios must lie in \[0, 1\]"):
+        load_scene(tmp_path / "g.csv")
+
+
 def test_pgm_binary_16_bit(tmp_path):
     p = tmp_path / "img16.pgm"
     p.write_bytes(b"P5\n2 1\n1000\n" + bytes([0, 250, 3, 232]))
