@@ -2,9 +2,9 @@
 
 One episode runs the full reverse-diffusion loop: particles start as pure
 noise, every step applies one-step denoising, the ancestral update, and
-measurement guidance; at scheduled steps (while budget remains) the policy
-scores the unmeasured locations, one is revealed, and the reward model is
-refit on everything revealed so far. The scene lives on [0, 1] cell values
+measurement guidance, folded into one ``ReverseStep`` update; at scheduled
+steps (while budget remains) the policy scores the unmeasured locations, one
+is revealed, and the reward model is refit on everything revealed so far. The scene lives on [0, 1] cell values
 while the sampler runs on [-1, 1]; revealed contents are mapped into sampler
 space for guidance and kept raw for the reward dataset.
 
@@ -34,14 +34,15 @@ from gridseek.belief import (
     marginal_entropy,
     score_field,
 )
-from gridseek.diffusion import (
+# gmm_score, gmm_score_hessian, tweedie_denoise, ancestral_step and guidance_step are not
+# called here: perfbench's WRAP_TABLE traces them by these names and needs them to resolve.
+from gridseek.diffusion import (  # noqa: F401
     GaussianMixturePrior,
     GuidanceConfig,
-    _step_hvp,
-    _step_terms,
+    ReverseStep,
     ancestral_step,
     gmm_score,
-    gmm_score_hessian,  # not called here; perfbench traces it by this name
+    gmm_score_hessian,
     guidance_step,
     make_schedule,
     tweedie_denoise,
@@ -450,18 +451,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     prior_unit, scene = build_prior_and_scene(cfg, scene_generator(seed))
     prior = prior_unit.affine(2.0, -1.0)
     sched = cfg.schedule.build()
-    score_fn = lambda x, tau: gmm_score(x, tau, prior, sched)
-    hessian_fn = None
-    if cfg.jacobian_mode == "exact":
-        terms = None  # made by each step's score call, reused by its guidance product
-
-        def score_fn(x, tau):
-            nonlocal terms
-            terms = _step_terms(x, tau, prior, sched)
-            return terms.score
-
-        hessian_fn = lambda x, tau, v: _step_hvp(terms, x, v, prior)
-    gcfg = GuidanceConfig(zeta=cfg.zeta, jacobian_mode=cfg.jacobian_mode)
+    step = ReverseStep(prior, sched, GuidanceConfig(zeta=cfg.zeta, jacobian_mode=cfg.jacobian_mode))
     bcfg = BeliefConfig(sigma_x2=cfg.sigma_x2)
     schedule_set = build_measurement_schedule(sched.T, cfg.budget)
 
@@ -477,16 +467,15 @@ def run_episode(cfg: ExperimentConfig, seed: int,
 
     start = time.perf_counter()
     for tau in range(sched.T, 0, -1):
-        x_hat = tweedie_denoise(particles, tau, score_fn, sched)
         for row, r in zip(z, particle_rngs):
             r.standard_normal(out=row)
-        x_prime = ancestral_step(particles, x_hat, tau, z, sched)
-        particles = guidance_step(x_prime, particles, x_hat, state.observed, state.values,
-                                  tau, gcfg, sched, hessian_fn)
+        measuring = tau in schedule_set and bool(state.candidates)
+        x_next, x_hat = step(particles, tau, z, state.observed, state.values, denoise=measuring)
+        z, particles = particles, x_next  # x_next is z's buffer; z takes the old particles'
         if not np.isfinite(particles).all():
             raise FloatingPointError(f"particles went non-finite at tau={tau} (zeta={cfg.zeta})")
 
-        if tau in schedule_set and state.candidates:
+        if measuring:
             snapshot = ParticleBatch(to_unit(x_hat))
             reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
             location, field_now = choose(cfg.policy, state, snapshot, cell_table,
@@ -547,8 +536,8 @@ def run_suite(cfg: ExperimentConfig, policies=None, budgets=None, jobs: int = 1)
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
             failures.append((*key, str(exc)))
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1:  # a fork pool starts all its workers at once, so start no idle ones
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             futs = [(key, pool.submit(run_episode, sub, seed)) for key, sub, seed in tasks]
             for key, fut in futs:
                 settle(key, fut.result)

@@ -2,9 +2,10 @@
 
 Each suite reruns one of the package's independently derivable checks on its
 shipped defaults: closed-form posterior means against one-step denoising,
-finite differences against the analytic score, the brute-force ranking
-oracle against the exploration score, and finite differences against the
-reward model's backward pass. Each check takes its seed and returns
+finite differences against the analytic score, the reference denoise,
+ancestral and guidance steps against the folded step that episodes run, the
+brute-force ranking oracle against the exploration score, and finite
+differences against the reward model's backward pass. Each check takes its seed and returns
 (passed, detail); acceptance criteria 1-4 run them at seeds 101-104.
 """
 
@@ -15,11 +16,17 @@ import numpy as np
 from gridseek.belief import BeliefConfig, ParticleBatch, entropy_rank_oracle, score_field
 from gridseek.diffusion import (
     GaussianMixturePrior,
+    GuidanceConfig,
+    ReverseStep,
+    ancestral_step,
     gmm_log_density,
     gmm_score,
+    gmm_score_hessian,
+    guidance_step,
     make_schedule,
     tweedie_denoise,
 )
+from gridseek.env import make_blob_prior
 from gridseek.reward import LabeledPatch, RewardNet, deep_layout, default_layout, grad_check
 
 __all__ = ["run_all", "SUITES"]
@@ -73,6 +80,45 @@ def check_score_fd(seed: int = 1):
     return worst < 1e-6, f"max rel err {worst:.2e} (tol 1e-6)"
 
 
+def reference_step(x, tau, z, observed, values, prior, sched, cfg):
+    """(x_{tau-1}, xhat) by ``tweedie_denoise``, ``ancestral_step`` and ``guidance_step``."""
+    x_hat = tweedie_denoise(x, tau, lambda xx, tt: gmm_score(xx, tt, prior, sched), sched)
+    x_prime = ancestral_step(x, x_hat, tau, z, sched)
+    hessian_fn = lambda xx, tt, v: gmm_score_hessian(xx, tt, prior, sched, v)
+    return guidance_step(x_prime, x, x_hat, observed, values, tau, cfg, sched, hessian_fn), x_hat
+
+
+def check_reverse_step(seed: int = 5):
+    """The folded ReverseStep against the reference steps, at the paper16 and wide32 shapes.
+
+    Both Jacobian modes, zeta 0 and 1, tau T, T/2 and 1, and no, a tenth of
+    and every cell observed, with values drawn from the prior as a blob scene's are.
+    """
+    rng = np.random.default_rng(seed)
+    sched = make_schedule(200)
+    worst = 0.0
+    for shape, k, n_b in (((16, 16), 8, 8), ((32, 32), 32, 16)):
+        prior = make_blob_prior(shape, k, layout_seed=int(rng.integers(1000))).affine(2.0, -1.0)
+        n = prior.dimension
+        for mode in ("scaled-identity", "exact"):
+            for zeta in (0.0, 1.0):
+                cfg = GuidanceConfig(zeta, mode)
+                step = ReverseStep(prior, sched, cfg)
+                for tau in (sched.T, sched.T // 2, 1):
+                    root = np.sqrt(sched.alpha_bar[tau - 1])
+                    for share in (0.0, 0.1, 1.0):
+                        observed = rng.random(n) < share
+                        values = np.where(observed, prior.sample(rng), 0.0)
+                        x = (root * prior.means[rng.integers(0, k, n_b)]
+                             + np.sqrt(1.0 - root**2) * rng.standard_normal((n_b, n)))
+                        z = rng.standard_normal((n_b, n))
+                        want = reference_step(x, tau, z, observed, values, prior, sched, cfg)
+                        got = step(x, tau, z, observed, values, denoise=True)
+                        for g, w in zip(got, want):
+                            worst = max(worst, float(np.abs(g - w).max() / np.abs(w).max()))
+    return worst <= 1e-12, f"max rel err {worst:.2e} (tol 1e-12)"
+
+
 def check_entropy_ranking(seed: int = 2):
     rng = np.random.default_rng(seed)
     cfg = BeliefConfig()
@@ -106,6 +152,7 @@ def check_reward_gradients(seed: int = 3):
 SUITES = (
     ("tweedie-posterior-mean", check_tweedie),
     ("mixture-score-finite-difference", check_score_fd),
+    ("folded-reverse-step", check_reverse_step),
     ("entropy-ranking-equivalence", check_entropy_ranking),
     ("reward-gradient-check", check_reward_gradients),
 )

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import dataclasses
 import hashlib
@@ -322,6 +323,31 @@ def test_suite_parallel_matches_serial():
     assert metrics(serial) == metrics(parallel)
 
 
+def test_suite_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    """--jobs 64 on a 2-task suite asks for 2 workers; the fake pool starts no process."""
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rows, failures = run_suite(tiny_cfg(seeds=[1, 2], budget=2), policies=["random"], jobs=64)
+    assert asked == [2]
+    assert failures == [] and rows[0]["n_seeds"] == 2
+
+
 def test_suite_partial_failure_report(tmp_path, monkeypatch):
     cfg = file_scene_cfg(tmp_path, seeds=[1, 2])
 
@@ -488,22 +514,19 @@ def test_reference_episodes_keep_their_picks():
 
 
 def test_exact_episode_evaluates_the_mixture_once_per_reverse_step(monkeypatch):
-    """T log-term evaluations per exact-mode episode: each guidance product reuses its step's."""
-    calls = {"log_terms": 0, "products": 0}
+    """T responsibility evaluations per exact-mode episode: the folded step makes one per step."""
+    calls = 0
+    kernel = gridseek.diffusion._scaled_responsibilities
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(gridseek.diffusion, "_component_log_terms",
-                        counted("log_terms", gridseek.diffusion._component_log_terms))
-    monkeypatch.setattr(gridseek.bench, "_step_hvp", counted("products", gridseek.bench._step_hvp))
+    monkeypatch.setattr(gridseek.diffusion, "_scaled_responsibilities", counted)
     cfg = replace(default_benchmark_config(), jacobian_mode="exact")
     run_episode(cfg, 7)
-    assert calls["products"] > 100  # guided from the first measurement on
-    assert calls["log_terms"] == cfg.schedule.steps
+    assert calls == cfg.schedule.steps
 
 
 def test_nested_section_error_names_its_key_once():

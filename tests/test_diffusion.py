@@ -11,6 +11,7 @@ from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
     NoiseSchedule,
+    ReverseStep,
     ScheduleError,
     ancestral_step,
     gmm_log_density,
@@ -22,6 +23,7 @@ from gridseek.diffusion import (
 )
 from gridseek.diffusion import _step_hvp, _step_terms
 from gridseek.env import make_blob_prior
+from gridseek.validate import reference_step
 
 
 def random_prior(rng, dim, k):
@@ -369,6 +371,64 @@ def test_prior_caches_its_squared_mean_norms():
     assert not norms.flags.writeable
     shifted = prior.affine(2.0, -1.0)  # a new prior gets its own
     np.testing.assert_array_equal(shifted.mean_sq_norms, np.sum(shifted.means**2, axis=1))
+
+
+# ------------------------------------------------------------- folded step
+
+
+def folded_step_case(shape, k, n_b, tau, share, seed=0):
+    """A prior in sampler space, particles near the step-tau marginal, a partly revealed scene."""
+    rng = np.random.default_rng(seed)
+    prior = make_blob_prior(shape, n_components=k).affine(2.0, -1.0)
+    sched = make_schedule(200)
+    n = prior.dimension
+    observed = np.zeros(n, dtype=bool)
+    observed[rng.permutation(n)[:round(share * n)]] = True
+    values = np.where(observed, prior.sample(rng), 0.0)
+    abar = sched.alpha_bar[tau - 1]
+    x = (math.sqrt(abar) * prior.means[rng.integers(0, k, n_b)]
+         + math.sqrt(1.0 - abar) * rng.standard_normal((n_b, n)))
+    return prior, sched, x, rng.standard_normal((n_b, n)), observed, values
+
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 1.0], ids=["none", "tenth", "all"])
+@pytest.mark.parametrize("tau", [200, 100, 1])
+@pytest.mark.parametrize("zeta", [0.0, 1.0])
+@pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
+def test_folded_step_matches_reference_steps(mode, zeta, tau, share):
+    """x_{tau-1} and xhat within 1e-12 of denoise -> ancestral -> guidance, paper16 shape."""
+    prior, sched, x, z, observed, values = folded_step_case((16, 16), 8, 8, tau, share)
+    cfg = GuidanceConfig(zeta, mode)
+    want_next, want_hat = reference_step(x, tau, z, observed, values, prior, sched, cfg)
+    got_next, got_hat = ReverseStep(prior, sched, cfg)(x, tau, z, observed, values, denoise=True)
+    assert got_next is z  # written into the noise buffer
+    for got, want in [(got_next, want_next), (got_hat, want_hat)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_folded_step_forms_the_denoised_mean_only_when_asked():
+    prior, sched, x, z, observed, values = folded_step_case((16, 16), 8, 8, 50, 0.1)
+    step = ReverseStep(prior, sched, GuidanceConfig())
+    plain, none = step(x, 50, z.copy(), observed, values)
+    assert none is None
+    np.testing.assert_array_equal(plain, step(x, 50, z.copy(), observed, values, denoise=True)[0])
+    with pytest.raises(ScheduleError):
+        step(x, 0, z, observed, values)
+
+
+@pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
+def test_folded_step_allocates_a_few_particle_arrays(mode):
+    """n_b 16, N 1024, K 32 (the wide32 shape), guided: at most 3 (n_b, N) arrays at peak."""
+    prior, sched, x, z, observed, values = folded_step_case((32, 32), 32, 16, 100, 0.03)
+    step = ReverseStep(prior, sched, GuidanceConfig(1.0, mode))
+    step(x, 100, z, observed, values)  # caches the prior's transposed means
+    tracemalloc.start()
+    try:
+        step(x, 100, z, observed, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.nbytes, f"peak {peak / x.nbytes:.2f} (n_b, N) arrays"
 
 
 # ------------------------------------------------------------------ tweedie

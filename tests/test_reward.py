@@ -77,16 +77,18 @@ def test_predict_batch_matches_scalar():
         assert batch[i] == pytest.approx(predict(net, X[i]))
 
 
-@pytest.mark.parametrize("rows", [1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 5000])
-@pytest.mark.parametrize("layout", [default_layout(1), default_layout(4), deep_layout(4)],
-                         ids=["default1", "default4", "deep4"])
+@pytest.mark.parametrize("rows", [1, 2, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1,
+                                  2 * PREDICT_BLOCK + 1, 5000])
+@pytest.mark.parametrize("layout", [default_layout(1), default_layout(4), deep_layout(1),
+                                    deep_layout(4)],
+                         ids=["default1", "default4", "deep1", "deep4"])
 def test_blocked_predict_is_bit_identical_to_full_forward(layout, rows):
     # row blocks must not change a single bit of the one-call forward pass
     rng = np.random.default_rng(rows)
     for seed in range(8):
         net = RewardNet.create(layout, seed=seed)
         X = rng.random((rows, layout[0]))  # patches are clipped to [0, 1]
-        assert np.array_equal(predict(net, X), _sigmoid(_forward(net, X)[0][-1][:, 0]))
+        assert np.array_equal(predict(net, X), _sigmoid(_forward(net, X.T)[0][-1][0]))
 
 
 def test_predict_output_in_open_interval():
