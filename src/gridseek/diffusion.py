@@ -17,12 +17,12 @@ where xhat is the one-step denoised mean, followed by a measurement-guidance
 correction that pulls the trajectory toward the observed cells.
 
 The mixture kernels scale step-invariant constants (x.mu_k, ||mu_k||^2,
-w @ mu) by sqrt(abar) instead of forming the step's means sqrt(abar) mu_k.
-``gmm_score``, ``gmm_score_hessian``, ``tweedie_denoise``, ``ancestral_step``
-and ``guidance_step`` are the reference forms. An episode runs
-``ReverseStep`` instead: it builds each tau's constants once and folds
-denoise, ancestral step and guidance into one affine update per particle
-row, with one responsibility evaluation per step in either Jacobian mode.
+w @ mu) by sqrt(abar) instead of forming the step's means sqrt(abar) mu_k,
+and one responsibility evaluation serves a step's score and its ``exact``
+guidance product alike. The step kernels reuse buffers of their own: with the
+score given, denoising makes one (..., N) array, the ancestral step two and
+``scaled-identity`` guidance one, computing on the observed columns only.
+Each gives the same bits as its plain one-expression form.
 
 Stability note on guidance: in ``scaled-identity`` mode the residual gradient
 carries a 1/sqrt(abar_tau) factor, which grows as abar_tau falls. On the linear
@@ -54,7 +54,6 @@ __all__ = [
     "tweedie_denoise",
     "ancestral_step",
     "guidance_step",
-    "ReverseStep",
 ]
 
 
@@ -178,17 +177,6 @@ class GaussianMixturePrior:
         norms.flags.writeable = False
         return norms
 
-    @cached_property
-    def means_t(self) -> np.ndarray:
-        """The (N, K) means, transposed into a C-contiguous, read-only copy.
-
-        ``x @ means_t`` runs about 1.7x faster than ``x @ means.T`` at
-        (16, 1024) x (1024, 32): BLAS reads the contiguous copy without a transpose.
-        """
-        means_t = np.ascontiguousarray(self.means.T)
-        means_t.flags.writeable = False
-        return means_t
-
     @property
     def n_components(self) -> int:
         return self.means.shape[0]
@@ -285,26 +273,8 @@ class GuidanceConfig:
             raise ValueError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
 
-class _Marginal(NamedTuple):
-    """The step-tau marginal's constants, fixed by (tau, prior, schedule)."""
-    root: float  # sqrt(abar)
-    abar: float
-    variances: np.ndarray  # s_k = abar v_k + (1 - abar)
-    log_norms: np.ndarray  # log w_k - (N/2) log(2 pi s_k)
-    mean_sq: np.ndarray  # ||m_k||^2 = abar ||mu_k||^2
-
-
-def _marginal(tau, prior, sched) -> _Marginal:
-    """The step-tau marginal's constants, made once per call or once per episode by ReverseStep."""
-    sched._check_tau(tau)
-    abar = sched.alpha_bar[tau - 1]
-    variances = abar * prior.variances + (1.0 - abar)
-    log_norms = np.log(prior.weights) - 0.5 * prior.dimension * np.log(2.0 * math.pi * variances)
-    return _Marginal(math.sqrt(abar), abar, variances, log_norms, abar * prior.mean_sq_norms)
-
-
-def _component_log_terms(x: np.ndarray, marg: _Marginal, prior) -> np.ndarray:
-    """log w_k + log N(x; m_k, s_k I), shape (..., K), under the marginal ``marg``.
+def _component_log_terms(x: np.ndarray, tau, prior, sched):
+    """log w_k + log N(x; m_k, s_k I), shape (..., K), with sqrt(abar) and s_k.
 
     The step-tau marginal has means m_k = sqrt(abar) mu_k and variances
     s_k = abar v_k + (1 - abar). ||x - m_k||^2 is taken in Gram form from
@@ -312,18 +282,19 @@ def _component_log_terms(x: np.ndarray, marg: _Marginal, prior) -> np.ndarray:
     one (..., N) @ (N, K) product with the prior's own means and its cached
     ||mu_k||^2. Neither a (..., K, N) difference tensor nor the m_k are formed.
     """
-    sq = (np.einsum("...n,...n->...", x, x)[..., None] - (2.0 * marg.root) * (x @ prior.means_t)
-          + marg.mean_sq)  # (..., K)
+    sched._check_tau(tau)
+    abar = sched.alpha_bar[tau - 1]
+    root, variances = math.sqrt(abar), abar * prior.variances + (1.0 - abar)
+    sq = (np.sum(x * x, axis=-1, keepdims=True) - (2.0 * root) * (x @ prior.means.T)
+          + abar * prior.mean_sq_norms)  # (..., K)
     np.maximum(sq, 0.0, out=sq)  # rounding may leave a near-zero distance below 0
-    return marg.log_norms - 0.5 * sq / marg.variances
-
-
-def _scaled_responsibilities(x: np.ndarray, marg: _Marginal, prior) -> np.ndarray:
-    """w_k = rho_k / s_k at x: the one responsibility kernel of scores, products and steps."""
-    terms = _component_log_terms(x, marg, prior)
-    resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
-    resp /= resp.sum(axis=-1, keepdims=True)
-    return resp / marg.variances
+    n = prior.dimension
+    terms = (
+        np.log(prior.weights)
+        - 0.5 * n * np.log(2.0 * math.pi * variances)
+        - 0.5 * sq / variances
+    )
+    return terms, root, variances
 
 
 def _weighted_pulls(w: np.ndarray, root: float, means: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -343,25 +314,29 @@ class _StepTerms(NamedTuple):
 
 def _step_terms(x: np.ndarray, tau, prior, sched) -> _StepTerms:
     """The responsibilities rho_k, evaluated once at (x, tau), and the score built from them."""
-    marg = _marginal(tau, prior, sched)
-    w = _scaled_responsibilities(x, marg, prior)
-    return _StepTerms(w, marg.root, marg.variances, _weighted_pulls(w, marg.root, prior.means, x))
+    terms, root, variances = _component_log_terms(x, tau, prior, sched)
+    resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
+    resp /= resp.sum(axis=-1, keepdims=True)
+    w = resp / variances
+    return _StepTerms(w, root, variances, _weighted_pulls(w, root, prior.means, x))
 
 
 def _step_hvp(terms: _StepTerms, x: np.ndarray, v: np.ndarray, prior) -> np.ndarray:
     """H(x) v from the terms ``_step_terms`` made at the same x; see ``gmm_score_hessian``."""
     w, root, variances, score = terms
-    pv = (root * (v @ prior.means_t) - np.sum(x * v, axis=-1, keepdims=True)) / variances  # p_k . v
-    return (_weighted_pulls(w * pv, root, prior.means, x)
-            - np.sum(w, axis=-1, keepdims=True) * v
-            - np.sum(score * v, axis=-1, keepdims=True) * score)
+    pv = (root * (v @ prior.means.T) - np.sum(x * v, axis=-1, keepdims=True)) / variances  # p_k . v
+    out = _weighted_pulls(w * pv, root, prior.means, x)
+    part = np.multiply(np.sum(w, axis=-1, keepdims=True), v)
+    out -= part
+    out -= np.multiply(np.sum(score * v, axis=-1, keepdims=True), score, out=part)
+    return out
 
 
 def gmm_log_density(x, tau: int, prior: GaussianMixturePrior,
                     sched: NoiseSchedule) -> np.ndarray:
     """Log-density of the step-tau marginal, stabilized through log-sum-exp."""
     x = _check_state(x, prior)
-    terms = _component_log_terms(x, _marginal(tau, prior, sched), prior)
+    terms, _, _ = _component_log_terms(x, tau, prior, sched)
     m = terms.max(axis=-1, keepdims=True)
     return np.squeeze(m, -1) + np.log(np.sum(np.exp(terms - m), axis=-1))
 
@@ -408,24 +383,30 @@ def tweedie_denoise(x_tau, tau: int, score_fn, sched: NoiseSchedule) -> np.ndarr
     sched._check_tau(tau)
     x_tau = np.asarray(x_tau, dtype=float)
     abar = sched.alpha_bar[tau - 1]
-    return (x_tau + (1.0 - abar) * score_fn(x_tau, tau)) / math.sqrt(abar)
+    x_hat = (1.0 - abar) * score_fn(x_tau, tau)
+    x_hat += x_tau
+    x_hat /= math.sqrt(abar)
+    return x_hat
 
 
 def ancestral_step(x_tau, x_hat, tau: int, z, sched: NoiseSchedule) -> np.ndarray:
-    """Reverse-step convex combination of current state and denoised mean."""
-    coef_x, coef_hat, sigma = _ancestral_coefs(tau, sched)
-    x_tau = np.asarray(x_tau, dtype=float)
-    x_hat = np.asarray(x_hat, dtype=float)
-    return coef_x * x_tau + coef_hat * x_hat + sigma * np.asarray(z)
+    """Reverse-step convex combination of current state and denoised mean.
 
-
-def _ancestral_coefs(tau: int, sched: NoiseSchedule):
-    """The reverse step's (c_x, c_xhat, sigma_tilde) at tau."""
+    (c_x x_tau + c_xhat xhat) + sigma_tilde z, summed in that order into one
+    output and one scratch array, so the three arrays share one shape.
+    """
     sched._check_tau(tau)
-    abar, abar_prev = sched.alpha_bar[tau - 1], sched.alpha_bar_at(tau - 1)
-    return (math.sqrt(sched.alpha[tau - 1]) * (1.0 - abar_prev) / (1.0 - abar),
-            math.sqrt(abar_prev) * sched.beta[tau - 1] / (1.0 - abar),
-            sched.sigma_tilde[tau - 1])
+    abar = sched.alpha_bar[tau - 1]
+    abar_prev = sched.alpha_bar_at(tau - 1)
+    beta = sched.beta[tau - 1]
+    alpha = sched.alpha[tau - 1]
+    coef_x = math.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
+    coef_hat = math.sqrt(abar_prev) * beta / (1.0 - abar)
+    out = coef_x * np.asarray(x_tau, dtype=float)
+    part = coef_hat * np.asarray(x_hat, dtype=float)
+    out += part
+    out += np.multiply(sched.sigma_tilde[tau - 1], z, out=part)
+    return out
 
 
 def guidance_step(
@@ -461,80 +442,19 @@ def guidance_step(
     sched._check_tau(tau)
 
     abar = sched.alpha_bar[tau - 1]
-    residual = np.where(observed, x_hat - observed_values, 0.0)
-
-    if cfg.jacobian_mode == "scaled-identity":
-        grad = (2.0 / math.sqrt(abar)) * residual
-    else:
-        if hessian_fn is None:
-            raise ValueError("exact guidance requires a hessian_fn")
-        grad = 2.0 * (residual + (1.0 - abar) * hessian_fn(x_tau, tau, residual)) / math.sqrt(abar)
-    return x_prime - cfg.zeta * grad
-
-
-class ReverseStep:
-    """One episode's guided reverse step x_tau -> x_{tau-1}, as one affine update.
-
-    It equals ``tweedie_denoise``, then ``ancestral_step``, then
-    ``guidance_step`` (the ``folded-reverse-step`` oracle holds it to 1e-12).
-    With w_k = rho_k / s_k from the shared responsibility kernel, the denoised
-    mean is xhat = c x + (1 - abar) w @ mu, c = (1 - (1 - abar) sum_k w_k) / sqrt(abar),
-    so per particle row
-
-        x_{tau-1} = A x + B (w @ mu) + sigma_tilde z,  A = c_x + c_xhat c,  B = c_xhat (1 - abar),
-
-    and guidance subtracts zeta times the gradient on the observed columns
-    only: (2 / sqrt(abar)) (xhat - y) there in ``scaled-identity`` mode. In
-    ``exact`` mode the Hessian acts on that sparse residual r, through
-    p_k . r = (sqrt(abar) r.mu_k - x.r) / s_k over the observed columns, as
-    H r = sum_k u_k (m_k - x) - (sum_k w_k) r with u_k = w_k (p_k . r - g . r)
-    and score g; u folds into A and into the weights on mu, and the residual's
-    coefficient becomes 2 zeta c. xhat itself is formed in full only when
-    asked for. The per-tau constants are made once, when the step is built.
-    """
-
-    def __init__(self, prior: GaussianMixturePrior, sched: NoiseSchedule, cfg: GuidanceConfig):
-        self.prior, self.sched, self.cfg = prior, sched, cfg
-        self._tables = [(_marginal(tau, prior, sched), *_ancestral_coefs(tau, sched))
-                        for tau in range(1, sched.T + 1)]
-
-    def __call__(self, x: np.ndarray, tau: int, z: np.ndarray, observed: np.ndarray,
-                 values: np.ndarray, denoise: bool = False):
-        """(x_{tau-1}, xhat or None): the step from x at tau with noise ``z``.
-
-        x_{tau-1} is written into ``z``'s buffer. ``observed`` is an (N,) mask
-        of revealed cells and ``values`` their contents in sampler space, as
-        for ``guidance_step``; xhat is returned only when ``denoise`` is set.
-        """
-        self.sched._check_tau(tau)
-        marg, coef_x, coef_hat, sigma = self._tables[tau - 1]
-        means, root, noise_part = self.prior.means, marg.root, 1.0 - marg.abar
-        w = _scaled_responsibilities(x, marg, self.prior)
-        w_sum = np.sum(w, axis=-1, keepdims=True)
-        c = (1.0 - noise_part * w_sum) / root
-        a = coef_x + coef_hat * c
-        mix = (coef_hat * noise_part) * w  # the rows' weights on mu
-        obs = np.flatnonzero(observed)
-        guided = obs.size > 0 and self.cfg.zeta != 0.0
-        if guided:
-            zeta, means_obs, x_obs = self.cfg.zeta, means[:, obs], x[..., obs]
-            wmu_obs = w @ means_obs
-            residual = c * x_obs + noise_part * wmu_obs - values[obs]  # xhat - y, observed cells
-            pull = 2.0 * zeta / root
-            if self.cfg.jacobian_mode == "exact":
-                kappa = pull * noise_part
-                x_r = np.sum(x_obs * residual, axis=-1, keepdims=True)
-                score_obs = root * wmu_obs - w_sum * x_obs
-                score_r = np.sum(score_obs * residual, axis=-1, keepdims=True)
-                u = w * ((root * (residual @ means_obs.T) - x_r) / marg.variances - score_r)
-                a = a + kappa * np.sum(u, axis=-1, keepdims=True)
-                mix -= (kappa * root) * u
-                pull = 2.0 * zeta * c
-        out = z
-        out *= sigma
-        out += mix @ means
-        out += a * x
-        if guided:
-            out[..., obs] -= pull * residual
-        x_hat = c * x + noise_part * (w @ means) if denoise else None
-        return out, x_hat
+    obs = np.flatnonzero(observed)
+    residual_obs = np.asarray(x_hat, dtype=float)[..., obs] - observed_values[obs]
+    if cfg.jacobian_mode == "scaled-identity":  # the gradient is zero off the observed columns
+        out = x_prime.copy()
+        out[..., obs] -= cfg.zeta * ((2.0 / math.sqrt(abar)) * residual_obs)
+        return out
+    if hessian_fn is None:
+        raise ValueError("exact guidance requires a hessian_fn")
+    residual = np.zeros(residual_obs.shape[:-1] + (n,))
+    residual[..., obs] = residual_obs
+    grad = (1.0 - abar) * hessian_fn(x_tau, tau, residual)
+    grad += residual
+    grad *= 2.0
+    grad /= math.sqrt(abar)
+    grad *= cfg.zeta
+    return np.subtract(x_prime, grad, out=grad)

@@ -2,27 +2,27 @@
 
 Each suite reruns one of the package's independently derivable checks on its
 shipped defaults: closed-form posterior means against one-step denoising,
-finite differences against the analytic score, the reference denoise,
-ancestral and guidance steps against the folded step that episodes run, the
-brute-force ranking oracle against the exploration score, and finite
-differences against the reward model's backward pass. Each check takes its seed and returns
+finite differences against the analytic score, the written-out guided
+reverse step against the one that episodes run, the brute-force ranking
+oracle against the exploration score, and finite differences against the
+reward model's backward pass. Each check takes its seed and returns
 (passed, detail); acceptance criteria 1-4 run them at seeds 101-104.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gridseek.belief import BeliefConfig, ParticleBatch, entropy_rank_oracle, score_field
+from gridseek.bench import mixture_fns, reverse_step
 from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
-    ReverseStep,
-    ancestral_step,
     gmm_log_density,
     gmm_score,
     gmm_score_hessian,
-    guidance_step,
     make_schedule,
     tweedie_denoise,
 )
@@ -81,15 +81,28 @@ def check_score_fd(seed: int = 1):
 
 
 def reference_step(x, tau, z, observed, values, prior, sched, cfg):
-    """(x_{tau-1}, xhat) by ``tweedie_denoise``, ``ancestral_step`` and ``guidance_step``."""
-    x_hat = tweedie_denoise(x, tau, lambda xx, tt: gmm_score(xx, tt, prior, sched), sched)
-    x_prime = ancestral_step(x, x_hat, tau, z, sched)
-    hessian_fn = lambda xx, tt, v: gmm_score_hessian(xx, tt, prior, sched, v)
-    return guidance_step(x_prime, x, x_hat, observed, values, tau, cfg, sched, hessian_fn), x_hat
+    """(x_{tau-1}, xhat), each written out as one expression over ``gmm_score``.
+
+    ``exact`` guidance takes its product from ``gmm_score_hessian``.
+    """
+    abar, abar_prev = sched.alpha_bar[tau - 1], sched.alpha_bar_at(tau - 1)
+    x_hat = (x + (1.0 - abar) * gmm_score(x, tau, prior, sched)) / math.sqrt(abar)
+    x_prime = (math.sqrt(sched.alpha[tau - 1]) * (1.0 - abar_prev) / (1.0 - abar) * x
+               + math.sqrt(abar_prev) * sched.beta[tau - 1] / (1.0 - abar) * x_hat
+               + sched.sigma_tilde[tau - 1] * z)
+    if not observed.any() or cfg.zeta == 0.0:
+        return x_prime, x_hat
+    residual = np.where(observed, x_hat - values, 0.0)
+    if cfg.jacobian_mode == "scaled-identity":
+        grad = (2.0 / math.sqrt(abar)) * residual
+    else:
+        product = gmm_score_hessian(x, tau, prior, sched, residual)
+        grad = 2.0 * (residual + (1.0 - abar) * product) / math.sqrt(abar)
+    return x_prime - cfg.zeta * grad, x_hat
 
 
 def check_reverse_step(seed: int = 5):
-    """The folded ReverseStep against the reference steps, at the paper16 and wide32 shapes.
+    """``bench.reverse_step`` against ``reference_step``, at the paper16 and wide32 shapes.
 
     Both Jacobian modes, zeta 0 and 1, tau T, T/2 and 1, and no, a tenth of
     and every cell observed, with values drawn from the prior as a blob scene's are.
@@ -103,7 +116,7 @@ def check_reverse_step(seed: int = 5):
         for mode in ("scaled-identity", "exact"):
             for zeta in (0.0, 1.0):
                 cfg = GuidanceConfig(zeta, mode)
-                step = ReverseStep(prior, sched, cfg)
+                fns = mixture_fns(prior, sched, mode)
                 for tau in (sched.T, sched.T // 2, 1):
                     root = np.sqrt(sched.alpha_bar[tau - 1])
                     for share in (0.0, 0.1, 1.0):
@@ -113,7 +126,7 @@ def check_reverse_step(seed: int = 5):
                              + np.sqrt(1.0 - root**2) * rng.standard_normal((n_b, n)))
                         z = rng.standard_normal((n_b, n))
                         want = reference_step(x, tau, z, observed, values, prior, sched, cfg)
-                        got = step(x, tau, z, observed, values, denoise=True)
+                        got = reverse_step(x, tau, z, observed, values, fns, cfg, sched)
                         for g, w in zip(got, want):
                             worst = max(worst, float(np.abs(g - w).max() / np.abs(w).max()))
     return worst <= 1e-12, f"max rel err {worst:.2e} (tol 1e-12)"
@@ -152,7 +165,7 @@ def check_reward_gradients(seed: int = 3):
 SUITES = (
     ("tweedie-posterior-mean", check_tweedie),
     ("mixture-score-finite-difference", check_score_fd),
-    ("folded-reverse-step", check_reverse_step),
+    ("guided-reverse-step", check_reverse_step),
     ("entropy-ranking-equivalence", check_entropy_ranking),
     ("reward-gradient-check", check_reward_gradients),
 )

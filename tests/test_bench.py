@@ -324,7 +324,10 @@ def test_suite_parallel_matches_serial():
 
 
 def test_suite_pool_starts_no_more_workers_than_tasks(monkeypatch):
-    """--jobs 64 on a 2-task suite asks for 2 workers; the fake pool starts no process."""
+    """--jobs 64 asks for 2 workers on a 2-task suite and for no pool on an empty one.
+
+    The fake pool runs each task inline, so no process starts.
+    """
     asked = []
 
     class InlinePool:
@@ -346,6 +349,9 @@ def test_suite_pool_starts_no_more_workers_than_tasks(monkeypatch):
     rows, failures = run_suite(tiny_cfg(seeds=[1, 2], budget=2), policies=["random"], jobs=64)
     assert asked == [2]
     assert failures == [] and rows[0]["n_seeds"] == 2
+    # no tasks, no pool: an empty policy list gives an empty table, as with one job
+    assert run_suite(tiny_cfg(), policies=[], jobs=2) == ([], [])
+    assert asked == [2]
 
 
 def test_suite_partial_failure_report(tmp_path, monkeypatch):
@@ -514,19 +520,22 @@ def test_reference_episodes_keep_their_picks():
 
 
 def test_exact_episode_evaluates_the_mixture_once_per_reverse_step(monkeypatch):
-    """T responsibility evaluations per exact-mode episode: the folded step makes one per step."""
-    calls = 0
-    kernel = gridseek.diffusion._scaled_responsibilities
+    """T log-term evaluations per exact-mode episode: each guidance product reuses its step's."""
+    calls = {"log_terms": 0, "products": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return kernel(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(gridseek.diffusion, "_scaled_responsibilities", counted)
+    monkeypatch.setattr(gridseek.diffusion, "_component_log_terms",
+                        counted("log_terms", gridseek.diffusion._component_log_terms))
+    monkeypatch.setattr(gridseek.bench, "_step_hvp", counted("products", gridseek.bench._step_hvp))
     cfg = replace(default_benchmark_config(), jacobian_mode="exact")
     run_episode(cfg, 7)
-    assert calls == cfg.schedule.steps
+    assert calls["products"] > 100  # guided from the first measurement on
+    assert calls["log_terms"] == cfg.schedule.steps
 
 
 def test_nested_section_error_names_its_key_once():

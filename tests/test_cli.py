@@ -193,8 +193,8 @@ def test_validate_passes_on_defaults(capsys):
     code = main(["validate"])
     err = capsys.readouterr().err
     assert code == 0
-    assert err.count("PASS") == 5  # one line per suite, the folded reverse step's included
-    assert "PASS folded-reverse-step" in err
+    assert err.count("PASS") == 5  # one line per suite, the guided reverse step's included
+    assert "PASS guided-reverse-step" in err
     assert "FAIL" not in err
 
 

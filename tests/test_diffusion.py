@@ -11,7 +11,6 @@ from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
     NoiseSchedule,
-    ReverseStep,
     ScheduleError,
     ancestral_step,
     gmm_log_density,
@@ -21,6 +20,7 @@ from gridseek.diffusion import (
     make_schedule,
     tweedie_denoise,
 )
+from gridseek.bench import mixture_fns, reverse_step
 from gridseek.diffusion import _step_hvp, _step_terms
 from gridseek.env import make_blob_prior
 from gridseek.validate import reference_step
@@ -373,10 +373,10 @@ def test_prior_caches_its_squared_mean_norms():
     np.testing.assert_array_equal(shifted.mean_sq_norms, np.sum(shifted.means**2, axis=1))
 
 
-# ------------------------------------------------------------- folded step
+# ------------------------------------------------------------ episode step
 
 
-def folded_step_case(shape, k, n_b, tau, share, seed=0):
+def step_case(shape, k, n_b, tau, share, seed=0):
     """A prior in sampler space, particles near the step-tau marginal, a partly revealed scene."""
     rng = np.random.default_rng(seed)
     prior = make_blob_prior(shape, n_components=k).affine(2.0, -1.0)
@@ -395,40 +395,42 @@ def folded_step_case(shape, k, n_b, tau, share, seed=0):
 @pytest.mark.parametrize("tau", [200, 100, 1])
 @pytest.mark.parametrize("zeta", [0.0, 1.0])
 @pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
-def test_folded_step_matches_reference_steps(mode, zeta, tau, share):
-    """x_{tau-1} and xhat within 1e-12 of denoise -> ancestral -> guidance, paper16 shape."""
-    prior, sched, x, z, observed, values = folded_step_case((16, 16), 8, 8, tau, share)
+def test_episode_step_matches_written_out_step(mode, zeta, tau, share):
+    """x_{tau-1} and xhat within 1e-12 of the one-expression forms, paper16 shape."""
+    prior, sched, x, z, observed, values = step_case((16, 16), 8, 8, tau, share)
     cfg = GuidanceConfig(zeta, mode)
-    want_next, want_hat = reference_step(x, tau, z, observed, values, prior, sched, cfg)
-    got_next, got_hat = ReverseStep(prior, sched, cfg)(x, tau, z, observed, values, denoise=True)
-    assert got_next is z  # written into the noise buffer
-    for got, want in [(got_next, want_next), (got_hat, want_hat)]:
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_folded_step_forms_the_denoised_mean_only_when_asked():
-    prior, sched, x, z, observed, values = folded_step_case((16, 16), 8, 8, 50, 0.1)
-    step = ReverseStep(prior, sched, GuidanceConfig())
-    plain, none = step(x, 50, z.copy(), observed, values)
-    assert none is None
-    np.testing.assert_array_equal(plain, step(x, 50, z.copy(), observed, values, denoise=True)[0])
-    with pytest.raises(ScheduleError):
-        step(x, 0, z, observed, values)
+    want = reference_step(x, tau, z, observed, values, prior, sched, cfg)
+    got = reverse_step(x, tau, z, observed, values, mixture_fns(prior, sched, mode), cfg, sched)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
-def test_folded_step_allocates_a_few_particle_arrays(mode):
-    """n_b 16, N 1024, K 32 (the wide32 shape), guided: at most 3 (n_b, N) arrays at peak."""
-    prior, sched, x, z, observed, values = folded_step_case((32, 32), 32, 16, 100, 0.03)
-    step = ReverseStep(prior, sched, GuidanceConfig(1.0, mode))
-    step(x, 100, z, observed, values)  # caches the prior's transposed means
+def test_episode_step_leaves_its_inputs_alone(mode):
+    prior, sched, x, z, observed, values = step_case((16, 16), 8, 8, 50, 0.1)
+    before = [a.copy() for a in (x, z, observed, values)]
+    reverse_step(x, 50, z, observed, values, mixture_fns(prior, sched, mode),
+                 GuidanceConfig(1.0, mode), sched)
+    for a, b in zip((x, z, observed, values), before):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode, arrays", [("scaled-identity", 3.5), ("exact", 7.5)])
+def test_episode_step_allocates_a_few_particle_arrays(mode, arrays):
+    """n_b 16, N 1024, K 32 (the wide32 shape), guided: peak in (n_b, N) arrays.
+
+    The one-expression forms peak at 6 arrays in scaled-identity mode and 7
+    in exact mode; the exact mode's Hessian product keeps its peak.
+    """
+    prior, sched, x, z, observed, values = step_case((32, 32), 32, 16, 100, 0.03)
+    cfg, fns = GuidanceConfig(1.0, mode), mixture_fns(prior, sched, mode)
     tracemalloc.start()
     try:
-        step(x, 100, z, observed, values)
+        reverse_step(x, 100, z, observed, values, fns, cfg, sched)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * x.nbytes, f"peak {peak / x.nbytes:.2f} (n_b, N) arrays"
+    assert peak <= arrays * x.nbytes, f"peak {peak / x.nbytes:.2f} (n_b, N) arrays"
 
 
 # ------------------------------------------------------------------ tweedie
