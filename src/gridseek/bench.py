@@ -15,7 +15,9 @@ reports mean, population std, and runtime per (policy, budget) row.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import sys
@@ -467,6 +469,59 @@ def reverse_step(x, tau: int, z, observed, values, fns, gcfg: GuidanceConfig, sc
     return guidance_step(x_prime, x, x_hat, observed, values, tau, gcfg, sched, hessian_fn), x_hat
 
 
+# Bytes in each noise buffer: 32 reverse steps at 16x16 with 8 particles, 4 at 32x32 with 16;
+# a step larger than this is drawn one at a time.
+_NOISE_CHUNK_BYTES = 512 * 1024
+# A step's noise of fewer bytes is drawn on the sampler's thread: at 16x16 with 8 particles
+# (16 KiB) a worker's GIL handoffs cost the sampler more than the draws it takes away, and
+# from 32 KiB (16x16 with 16 particles) on they cost less.
+_NOISE_WORKER_STEP_BYTES = 32 * 1024
+
+
+def _particle_noise(rngs, dim: int, steps: int, pool: concurrent.futures.Executor | None):
+    """Each of ``steps`` reverse steps' noise: an (n_b, dim) array, row i from ``rngs[i]``.
+
+    Row i is what ``rngs[i].standard_normal(out=row)`` gives step by step, since
+    each stream is read in the same order. The noise is drawn a chunk of steps
+    at a time. With a ``pool``, its one worker draws the next chunk into one
+    (n_b, chunk, dim) buffer while the caller reads the other (NumPy's
+    generators release the GIL while they fill), and when a chunk is due the
+    caller draws the particles the worker has not begun, so a worker kept off
+    the CPU does not stall the sampler. Without one the caller draws every
+    chunk. A yielded array is valid until the next one is asked for.
+    """
+    n_b = len(rngs)
+    chunk = max(1, _NOISE_CHUNK_BYTES // (8 * n_b * dim))
+    # allocated on the calling thread, so the worker opens no malloc arena of its own
+    buffers = [np.empty((n_b, chunk, dim)) for _ in range(1 if pool is None else 2)]
+
+    def draw(buf, n, todo):
+        """Draw ``n`` steps into ``buf[i]`` for each particle i taken from ``todo``."""
+        while True:
+            try:
+                i = todo.popleft()  # a deque's pops are thread-safe
+            except IndexError:
+                return
+            rngs[i].standard_normal(out=buf[i, :n])
+
+    def start(first):
+        """Queue the chunk from step ``first`` on; its buffer's earlier steps were all yielded."""
+        buf = buffers[first // chunk % len(buffers)]
+        n, todo = min(chunk, steps - first), collections.deque(range(n_b))
+        return buf, n, todo, None if pool is None else pool.submit(draw, buf, n, todo)
+
+    ahead = start(0)
+    for first in range(0, steps, chunk):
+        buf, n, todo, drawn = ahead
+        draw(buf, n, todo)
+        if drawn is not None:
+            drawn.result()
+        if first + chunk < steps:
+            ahead = start(first + chunk)
+        for j in range(n):
+            yield buf[:, j]
+
+
 def run_episode(cfg: ExperimentConfig, seed: int,
                 field_sink=None) -> EpisodeResult:
     """Play one full episode under the configured policy.
@@ -494,32 +549,34 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     cell_table = scene.all_location_cells()
 
     dim = scene.n_cells
-    particles = np.stack([r.standard_normal(dim) for r in particle_rngs])
-    z = np.empty_like(particles)  # each step's noise, one row per particle's stream
+    particles = np.stack([r.standard_normal(dim) for r in particle_rngs])  # before any noise
     records: list[StepRecord] = []
 
     start = time.perf_counter()
-    for tau in range(sched.T, 0, -1):
-        for row, r in zip(z, particle_rngs):
-            r.standard_normal(out=row)
-        particles, x_hat = reverse_step(particles, tau, z, state.observed, state.values,
-                                        fns, gcfg, sched)
-        if not np.isfinite(particles).all():
-            raise FloatingPointError(f"particles went non-finite at tau={tau} (zeta={cfg.zeta})")
+    use_worker = 8 * cfg.particles * dim >= _NOISE_WORKER_STEP_BYTES
+    with (concurrent.futures.ThreadPoolExecutor(max_workers=1) if use_worker
+          else contextlib.nullcontext()) as noise_pool:
+        noise = _particle_noise(particle_rngs, dim, sched.T, noise_pool)
+        for tau, z in zip(range(sched.T, 0, -1), noise):
+            particles, x_hat = reverse_step(particles, tau, z, state.observed, state.values,
+                                            fns, gcfg, sched)
+            if not np.isfinite(particles).all():
+                raise FloatingPointError(
+                    f"particles went non-finite at tau={tau} (zeta={cfg.zeta})")
 
-        if tau in schedule_set and state.candidates:
-            snapshot = ParticleBatch(to_unit(x_hat))
-            reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
-            location, field_now = choose(cfg.policy, state, snapshot, cell_table,
-                                         bcfg, reward_fn, policy_rng)
-            if field_sink is not None:
-                field_sink(state.t, tau, field_now)
-            picked = field_now.locations.index(location)
-            m = measure(scene, location, noise_rng)
-            state.apply(m, to_engine(m.content))
-            net = train(net, state.dataset, cfg.reward.epochs, cfg.reward.lr)
-            records.append(StepRecord(state.t, tau, *field_now.row(picked), m.y,
-                                      marginal_entropy(snapshot, bcfg)))
+            if tau in schedule_set and state.candidates:
+                snapshot = ParticleBatch(to_unit(x_hat))
+                reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
+                location, field_now = choose(cfg.policy, state, snapshot, cell_table,
+                                             bcfg, reward_fn, policy_rng)
+                if field_sink is not None:
+                    field_sink(state.t, tau, field_now)
+                picked = field_now.locations.index(location)
+                m = measure(scene, location, noise_rng)
+                state.apply(m, to_engine(m.content))
+                net = train(net, state.dataset, cfg.reward.epochs, cfg.reward.lr)
+                records.append(StepRecord(state.t, tau, *field_now.row(picked), m.y,
+                                          marginal_entropy(snapshot, bcfg)))
     wall = time.perf_counter() - start
 
     return EpisodeResult(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import threading
 import types
 import typing
 from dataclasses import replace
@@ -216,6 +217,93 @@ def test_non_finite_particles_raise_with_tau():
         run_episode(cfg, seed=1)
 
 
+def _noise_cases():
+    """(n_b, dim, steps): T of 1, C - 1, C, C + 1 and 200 at n_b 2 and 16, and a step over the cap."""
+    for n_b, dim in ((2, 256), (16, 256)):
+        chunk = gridseek.bench._NOISE_CHUNK_BYTES // (8 * n_b * dim)
+        for steps in sorted({1, chunk - 1, chunk, chunk + 1, 200}):
+            yield n_b, dim, steps
+    dim = gridseek.bench._NOISE_CHUNK_BYTES // 16 + 1  # 8 * 2 * dim bytes: one step > the cap
+    for steps in (1, 3):
+        yield 2, dim, steps
+
+
+class _DeferredPool:
+    """Runs a task only when its result is read, after the caller has drawn every particle."""
+
+    def submit(self, fn, *args):
+        return types.SimpleNamespace(result=lambda: fn(*args))
+
+
+class _InlinePool:
+    """Runs a task as it is submitted, so it draws every particle."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("pool", ["thread", "inline", "deferred", None])
+@pytest.mark.parametrize("n_b, dim, steps", list(_noise_cases()))
+def test_particle_noise_matches_step_by_step_draws(n_b, dim, steps, pool):
+    """Each particle's stream gives its first draw, then every step's row, as drawn in turn.
+
+    Whoever draws a chunk's particles, the worker ("inline"), the caller
+    ("deferred", or None: no worker) or both ("thread"), the rows are the same.
+    """
+    seeds = np.random.SeedSequence(11).spawn(n_b)
+    ref_rngs = [np.random.default_rng(s) for s in seeds]
+    ref_start = np.stack([r.standard_normal(dim) for r in ref_rngs])
+    ref_steps = np.empty((steps, n_b, dim))
+    for z in ref_steps:
+        for row, r in zip(z, ref_rngs):
+            r.standard_normal(out=row)
+
+    rngs = [np.random.default_rng(s) for s in seeds]
+    start = np.stack([r.standard_normal(dim) for r in rngs])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as thread_pool:
+        executor = {"thread": thread_pool, "inline": _InlinePool(),
+                    "deferred": _DeferredPool(), None: None}[pool]
+        got = [z.copy() for z in gridseek.bench._particle_noise(rngs, dim, steps, executor)]
+    assert start.tobytes() == ref_start.tobytes()
+    assert len(got) == steps
+    assert np.stack(got).tobytes() == ref_steps.tobytes()
+    # nothing is drawn past the last step: each stream stops where the step-by-step one did
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+def test_noise_worker_starts_from_a_step_of_32_kib(monkeypatch):
+    """One worker per episode whose step noise is 32 KiB or more; none at 16 KiB."""
+    started = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        started.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    cfg = replace(default_benchmark_config(), budget=2)
+    run_episode(cfg, seed=1)  # 8 particles x 256 cells x 8 bytes = 16 KiB
+    assert started == []
+    run_episode(replace(cfg, particles=16), seed=1)  # 32 KiB
+    assert started == [{"max_workers": 1}]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+@pytest.mark.parametrize("particles", [8, 16])  # without and with the noise worker
+def test_no_thread_outlives_an_episode(particles):
+    cfg = replace(default_benchmark_config(), particles=particles)
+    before = threading.active_count()
+    run_episode(cfg, seed=1)
+    assert threading.active_count() == before
+    unstable = replace(cfg, zeta=1000.0, budget=8)
+    with pytest.raises(FloatingPointError,
+                       match=r"^particles went non-finite at tau=\d+ \(zeta=1000.0\)$"):
+        run_episode(unstable, seed=1)
+    assert threading.active_count() == before
+
+
 def test_exact_jacobian_mode_runs():
     cfg = tiny_cfg(jacobian_mode="exact", budget=3,
                    schedule=ScheduleSpec(steps=12))
@@ -361,10 +449,11 @@ def test_suite_partial_failure_report(tmp_path, monkeypatch):
         raise RuntimeError("reward refit failed")
 
     monkeypatch.setattr(gridseek.bench, "train", broken_refit)  # fails inside each episode
-    rows, failures = run_suite(cfg)
-    assert rows == []
-    assert len(failures) == 2
-    assert failures[0][:3] == (cfg.policy.kind, cfg.budget, 1)
+    for jobs in (1, 2):  # forked workers inherit the patch
+        rows, failures = run_suite(cfg, jobs=jobs)
+        assert rows == []
+        assert len(failures) == 2
+        assert failures[0][:3] == (cfg.policy.kind, cfg.budget, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
