@@ -15,11 +15,10 @@ reports mean, population std, and runtime per (policy, budget) row.
 
 from __future__ import annotations
 
-import collections
 import concurrent.futures
-import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 import types
@@ -469,13 +468,21 @@ def reverse_step(x, tau: int, z, observed, values, fns, gcfg: GuidanceConfig, sc
     return guidance_step(x_prime, x, x_hat, observed, values, tau, gcfg, sched, hessian_fn), x_hat
 
 
-# Bytes in each noise buffer: 32 reverse steps at 16x16 with 8 particles, 4 at 32x32 with 16;
-# a step larger than this is drawn one at a time.
-_NOISE_CHUNK_BYTES = 512 * 1024
-# A step's noise of fewer bytes is drawn on the sampler's thread: at 16x16 with 8 particles
-# (16 KiB) a worker's GIL handoffs cost the sampler more than the draws it takes away, and
-# from 32 KiB (16x16 with 16 particles) on they cost less.
+# Bytes in each noise buffer: 64 reverse steps at 16x16 with 8 particles, 8 at 32x32 with 16;
+# a step larger than this is drawn one at a time. Against 512 KiB, halving the worker's calls
+# (and so its GIL handoffs) ran wide32 episodes 4-5% faster on 2 CPUs.
+_NOISE_CHUNK_BYTES = 1024 * 1024
+# A step's noise of fewer bytes is drawn on the sampler's thread: at 16 KiB (16x16 with 8
+# particles) a worker saves too little to repay its thread and handoffs, from 32 KiB on it does.
 _NOISE_WORKER_STEP_BYTES = 32 * 1024
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
 
 
 def _particle_noise(rngs, dim: int, steps: int, pool: concurrent.futures.Executor | None):
@@ -484,42 +491,34 @@ def _particle_noise(rngs, dim: int, steps: int, pool: concurrent.futures.Executo
     Row i is what ``rngs[i].standard_normal(out=row)`` gives step by step, since
     each stream is read in the same order. The noise is drawn a chunk of steps
     at a time. With a ``pool``, its one worker draws the next chunk into one
-    (n_b, chunk, dim) buffer while the caller reads the other (NumPy's
-    generators release the GIL while they fill), and when a chunk is due the
-    caller draws the particles the worker has not begun, so a worker kept off
-    the CPU does not stall the sampler. Without one the caller draws every
-    chunk. A yielded array is valid until the next one is asked for.
+    (n_b, chunk, dim) buffer while the caller reads the other, since NumPy's
+    generators release the GIL while they fill; the caller waits for a chunk
+    that is not drawn when it is due. Without one the caller draws every chunk.
+    A yielded array is valid until the next one is asked for.
     """
     n_b = len(rngs)
     chunk = max(1, _NOISE_CHUNK_BYTES // (8 * n_b * dim))
     # allocated on the calling thread, so the worker opens no malloc arena of its own
     buffers = [np.empty((n_b, chunk, dim)) for _ in range(1 if pool is None else 2)]
 
-    def draw(buf, n, todo):
-        """Draw ``n`` steps into ``buf[i]`` for each particle i taken from ``todo``."""
-        while True:
-            try:
-                i = todo.popleft()  # a deque's pops are thread-safe
-            except IndexError:
-                return
-            rngs[i].standard_normal(out=buf[i, :n])
+    def draw(first):
+        """Fill the chunk from step ``first`` on; its buffer's earlier steps were all yielded."""
+        buf = buffers[first // chunk % len(buffers)][:, :min(chunk, steps - first)]
+        for row, r in zip(buf, rngs):
+            r.standard_normal(out=row)
+        return buf
 
-    def start(first):
-        """Queue the chunk from step ``first`` on; its buffer's earlier steps were all yielded."""
-        buf = buffers[first // chunk % len(buffers)]
-        n, todo = min(chunk, steps - first), collections.deque(range(n_b))
-        return buf, n, todo, None if pool is None else pool.submit(draw, buf, n, todo)
-
-    ahead = start(0)
-    for first in range(0, steps, chunk):
-        buf, n, todo, drawn = ahead
-        draw(buf, n, todo)
-        if drawn is not None:
-            drawn.result()
+    firsts = range(0, steps, chunk)
+    if pool is None:
+        for first in firsts:
+            yield from draw(first).swapaxes(0, 1)
+        return
+    drawn = pool.submit(draw, 0)
+    for first in firsts:
+        buf = drawn.result()
         if first + chunk < steps:
-            ahead = start(first + chunk)
-        for j in range(n):
-            yield buf[:, j]
+            drawn = pool.submit(draw, first + chunk)
+        yield from buf.swapaxes(0, 1)
 
 
 def run_episode(cfg: ExperimentConfig, seed: int,
@@ -553,10 +552,10 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     records: list[StepRecord] = []
 
     start = time.perf_counter()
-    use_worker = 8 * cfg.particles * dim >= _NOISE_WORKER_STEP_BYTES
-    with (concurrent.futures.ThreadPoolExecutor(max_workers=1) if use_worker
-          else contextlib.nullcontext()) as noise_pool:
-        noise = _particle_noise(particle_rngs, dim, sched.T, noise_pool)
+    # a worker only helps with a CPU of its own and a step large enough to repay its handoffs
+    use_worker = 8 * cfg.particles * dim >= _NOISE_WORKER_STEP_BYTES and _usable_cpus() > 1
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:  # no thread until a submit
+        noise = _particle_noise(particle_rngs, dim, sched.T, pool if use_worker else None)
         for tau, z in zip(range(sched.T, 0, -1), noise):
             particles, x_hat = reverse_step(particles, tau, z, state.observed, state.values,
                                             fns, gcfg, sched)

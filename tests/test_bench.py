@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 import types
@@ -229,14 +230,14 @@ def _noise_cases():
 
 
 class _DeferredPool:
-    """Runs a task only when its result is read, after the caller has drawn every particle."""
+    """Runs a task only when its result is read, as a worker that falls behind would."""
 
     def submit(self, fn, *args):
         return types.SimpleNamespace(result=lambda: fn(*args))
 
 
 class _InlinePool:
-    """Runs a task as it is submitted, so it draws every particle."""
+    """Runs a task as it is submitted, as a worker that keeps ahead would."""
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -249,8 +250,9 @@ class _InlinePool:
 def test_particle_noise_matches_step_by_step_draws(n_b, dim, steps, pool):
     """Each particle's stream gives its first draw, then every step's row, as drawn in turn.
 
-    Whoever draws a chunk's particles, the worker ("inline"), the caller
-    ("deferred", or None: no worker) or both ("thread"), the rows are the same.
+    The rows are the same whether a worker thread fills each chunk ("thread"),
+    whether it keeps ahead ("inline") or falls behind ("deferred"), and with no
+    worker at all (None).
     """
     seeds = np.random.SeedSequence(11).spawn(n_b)
     ref_rngs = [np.random.default_rng(s) for s in seeds]
@@ -274,25 +276,29 @@ def test_particle_noise_matches_step_by_step_draws(n_b, dim, steps, pool):
 
 
 def test_noise_worker_starts_from_a_step_of_32_kib(monkeypatch):
-    """One worker per episode whose step noise is 32 KiB or more; none at 16 KiB."""
-    started = []
-    real = concurrent.futures.ThreadPoolExecutor
+    """A worker draws the noise of an episode whose step noise is 32 KiB or more, given two
+    CPUs; none at 16 KiB, and none when the process may use one CPU only."""
+    pools = []
+    real = gridseek.bench._particle_noise
 
-    def counted(*args, **kwargs):
-        started.append(kwargs)
-        return real(*args, **kwargs)
+    def recorded(rngs, dim, steps, pool):
+        pools.append(pool is not None)
+        return real(rngs, dim, steps, pool)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    monkeypatch.setattr(gridseek.bench, "_particle_noise", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = replace(default_benchmark_config(), budget=2)
     run_episode(cfg, seed=1)  # 8 particles x 256 cells x 8 bytes = 16 KiB
-    assert started == []
     run_episode(replace(cfg, particles=16), seed=1)  # 32 KiB
-    assert started == [{"max_workers": 1}]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_episode(replace(cfg, particles=16), seed=1)
+    assert pools == [False, True, False]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
 @pytest.mark.parametrize("particles", [8, 16])  # without and with the noise worker
-def test_no_thread_outlives_an_episode(particles):
+def test_no_thread_outlives_an_episode(particles, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = replace(default_benchmark_config(), particles=particles)
     before = threading.active_count()
     run_episode(cfg, seed=1)
