@@ -81,8 +81,8 @@ class BeliefConfig:
     sigma_x2: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma_x2 > 0.0):
-            raise ValueError(f"sigma_x2 must be positive, got {self.sigma_x2}")
+        if not (math.isfinite(self.sigma_x2) and self.sigma_x2 > 0.0):
+            raise ValueError(f"sigma_x2 must be finite and positive, got {self.sigma_x2}")
 
 
 @dataclass

@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -226,8 +227,9 @@ class SceneSpec:
             raise ConfigError("scene.block must be >= 1")
         if self.kind == "blobs" and (self.rows % self.block or self.cols % self.block):
             raise ConfigError(f"scene.block {self.block} must divide ({self.rows}, {self.cols})")
-        if self.noise is not None and (len(self.noise) != 2 or self.noise[1] < 0.0):
-            raise ConfigError("scene.noise must be [mu, sigma] with sigma >= 0")
+        if self.noise is not None and (len(self.noise) != 2 or self.noise[1] < 0.0
+                                       or not all(map(math.isfinite, self.noise))):
+            raise ConfigError("scene.noise must be [mu, sigma], both finite, with sigma >= 0")
 
 
 @dataclass(frozen=True)
@@ -242,8 +244,8 @@ class RewardSpec:
             raise ConfigError("reward.hidden must list positive layer widths")
         if self.epochs < 1:
             raise ConfigError("reward.epochs must be >= 1")
-        if not self.lr >= 0.0:
-            raise ConfigError("reward.lr must be non-negative")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ConfigError("reward.lr must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -384,7 +386,9 @@ class StepRecord:
     entropy: float
 
 
-TRACE_HEADER = "t,tau,location,expl,likeli,reward,exploit,combined,y,entropy"
+# a measurement's score-field columns: the score dumps' whole row, the trace's first columns
+FIELD_HEADER = "t,tau,location,expl,likeli,reward,exploit,combined"
+TRACE_HEADER = FIELD_HEADER + ",y,entropy"
 
 
 def csv_text(header: str, rows) -> str:
@@ -435,34 +439,23 @@ def choose(policy: PolicyConfig, state: EpisodeState, batch: ParticleBatch,
     return select_from_field(policy, state, field, rng), field
 
 
-def mixture_fns(prior: GaussianMixturePrior, sched, jacobian_mode: str):
-    """(score_fn, hessian_fn) for an episode's reverse steps; hessian_fn is None unless exact.
-
-    In ``exact`` mode each step's score call keeps its mixture terms and the
-    step's guidance product reuses them, so either mode evaluates the mixture
-    once per step.
-    """
-    if jacobian_mode != "exact":
-        return lambda x, tau: gmm_score(x, tau, prior, sched), None
-    terms = None  # made by each step's score call, reused by its guidance product
-
-    def score_fn(x, tau):
-        nonlocal terms
-        terms = _step_terms(x, tau, prior, sched)
-        return terms.score
-
-    return score_fn, lambda x, tau, v: _step_hvp(terms, x, v, prior)
-
-
-def reverse_step(x, tau: int, z, observed, values, fns, gcfg: GuidanceConfig, sched):
+def reverse_step(x, tau: int, z, observed, values, prior: GaussianMixturePrior,
+                 gcfg: GuidanceConfig, sched):
     """One guided reverse step as an episode takes it: (x_{tau-1}, xhat).
 
-    Denoise, ancestral step with noise ``z``, then guidance toward the
-    revealed ``values`` under the ``observed`` mask, with ``fns`` from
-    ``mixture_fns``. The kernels are looked up in this module when called,
-    so perfbench's traced runs see each as a span.
+    Denoise under ``prior``'s mixture score, ancestral step with noise ``z``,
+    then guidance toward the revealed ``values`` under the ``observed`` mask.
+    In ``exact`` mode the mixture is evaluated once, at x, and this step's
+    score and Hessian product both come from those terms. The kernels are
+    looked up in this module when called, so perfbench's traced runs see
+    each as a span.
     """
-    score_fn, hessian_fn = fns
+    if gcfg.jacobian_mode == "exact":
+        terms = _step_terms(x, tau, prior, sched)
+        score_fn = lambda *_: terms.score
+        hessian_fn = lambda _x, _tau, v: _step_hvp(terms, x, v, prior)
+    else:
+        score_fn, hessian_fn = lambda x, tau: gmm_score(x, tau, prior, sched), None
     x_hat = tweedie_denoise(x, tau, score_fn, sched)
     x_prime = ancestral_step(x, x_hat, tau, z, sched)
     return guidance_step(x_prime, x, x_hat, observed, values, tau, gcfg, sched, hessian_fn), x_hat
@@ -537,7 +530,6 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     prior_unit, scene = build_prior_and_scene(cfg, scene_generator(seed))
     prior = prior_unit.affine(2.0, -1.0)
     sched = cfg.schedule.build()
-    fns = mixture_fns(prior, sched, cfg.jacobian_mode)
     gcfg = GuidanceConfig(zeta=cfg.zeta, jacobian_mode=cfg.jacobian_mode)
     bcfg = BeliefConfig(sigma_x2=cfg.sigma_x2)
     schedule_set = build_measurement_schedule(sched.T, cfg.budget)
@@ -558,7 +550,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
         noise = _particle_noise(particle_rngs, dim, sched.T, pool if use_worker else None)
         for tau, z in zip(range(sched.T, 0, -1), noise):
             particles, x_hat = reverse_step(particles, tau, z, state.observed, state.values,
-                                            fns, gcfg, sched)
+                                            prior, gcfg, sched)
             if not np.isfinite(particles).all():
                 raise FloatingPointError(
                     f"particles went non-finite at tau={tau} (zeta={cfg.zeta})")
@@ -568,6 +560,9 @@ def run_episode(cfg: ExperimentConfig, seed: int,
                 reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
                 location, field_now = choose(cfg.policy, state, snapshot, cell_table,
                                              bcfg, reward_fn, policy_rng)
+                if not np.isfinite(field_now.reward).all():
+                    raise FloatingPointError(f"reward net went non-finite at t={state.t + 1}"
+                                             f" (reward.lr={cfg.reward.lr})")
                 if field_sink is not None:
                     field_sink(state.t, tau, field_now)
                 picked = field_now.locations.index(location)

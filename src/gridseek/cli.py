@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from gridseek.bench import (
+    FIELD_HEADER,
     ConfigError,
     ExperimentConfig,
     build_prior_and_scene,
@@ -92,7 +93,7 @@ def _field_dump(path, step=None):
             rows.extend((t, tau, *row) for row in field.csv_rows())
 
     def write():
-        Path(path).write_text(csv_text("t,tau,location,expl,likeli,reward,exploit,combined", rows))
+        Path(path).write_text(csv_text(FIELD_HEADER, rows))
         _log(f"score fields -> {path}")
 
     return sink, write

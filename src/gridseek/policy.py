@@ -60,8 +60,10 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (math.isfinite(self.ucb_c) and self.ucb_c >= 0.0):
+            raise ValueError(f"ucb_c must be finite and non-negative, got {self.ucb_c}")
         if self.combine_mode not in ("exploit", "likeli"):
             raise ValueError(f"unknown combine_mode {self.combine_mode!r}")
         if self.normalize not in ("minmax", "none"):

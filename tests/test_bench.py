@@ -218,6 +218,15 @@ def test_non_finite_particles_raise_with_tau():
         run_episode(cfg, seed=1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the refits overflow on purpose
+@pytest.mark.parametrize("lr, t", [(1000.0, 5), (100.0, 6)])
+def test_non_finite_reward_net_raises_with_t(lr, t):
+    cfg = replace(default_benchmark_config(), budget=8, reward=RewardSpec(lr=lr))
+    with pytest.raises(FloatingPointError, match=rf"reward net went non-finite at t={t} "
+                                                 rf"\(reward.lr={lr}\)"):
+        run_episode(cfg, seed=1)
+
+
 def _noise_cases():
     """(n_b, dim, steps): T of 1, C - 1, C, C + 1 and 200 at n_b 2 and 16, and a step over the cap."""
     for n_b, dim in ((2, 256), (16, 256)):
@@ -631,6 +640,22 @@ def test_exact_episode_evaluates_the_mixture_once_per_reverse_step(monkeypatch):
     run_episode(cfg, 7)
     assert calls["products"] > 100  # guided from the first measurement on
     assert calls["log_terms"] == cfg.schedule.steps
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: RewardSpec(lr=math.inf), "reward.lr"),
+    (lambda: SceneSpec(noise=(math.nan, 0.1)), "scene.noise"),
+    (lambda: SceneSpec(noise=(0.0, math.inf)), "scene.noise"),
+    (lambda: BeliefConfig(sigma_x2=math.inf), "sigma_x2"),
+    (lambda: ExperimentConfig(sigma_x2=math.inf), "sigma_x2"),
+    (lambda: PolicyConfig(alpha=math.inf), "alpha"),
+    (lambda: PolicyConfig(ucb_c=math.nan), "ucb_c"),
+    (lambda: ExperimentConfig.from_dict({"policy": {"ucb_c": -5}}), "ucb_c"),
+], ids=["lr-inf", "noise-mu-nan", "noise-sigma-inf", "belief-sigma_x2-inf",
+        "config-sigma_x2-inf", "alpha-inf", "ucb_c-nan", "json-ucb_c-negative"])
+def test_config_types_refuse_non_finite_numbers(make, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        make()
 
 
 def test_nested_section_error_names_its_key_once():

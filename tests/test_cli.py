@@ -436,6 +436,19 @@ def test_non_finite_particles_exit_2_under_run_and_suite(tmp_path, capsys):
     assert "FAILED policy=diffatd B=8 seed=1" in err and "tau=67" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the refits overflow on purpose
+def test_non_finite_reward_net_exits_2_under_run_and_suite(tmp_path, capsys):
+    path = tmp_path / "hot.json"
+    path.write_text(json.dumps({"budget": 8, "reward": {"lr": 1000}, "seeds": [1]}))
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    assert "reward net went non-finite at t=5 (reward.lr=1000.0)" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "suite.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED policy=diffatd B=8 seed=1" in err and "t=5 (reward.lr=1000.0)" in err
+
+
 def assert_exit_1_naming(tmp_path, capsys, config, name):
     """``run`` and ``suite`` on ``config`` both exit 1 with ``name`` in the message."""
     for command in ("run", "suite"):

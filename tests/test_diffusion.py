@@ -20,7 +20,8 @@ from gridseek.diffusion import (
     make_schedule,
     tweedie_denoise,
 )
-from gridseek.bench import mixture_fns, reverse_step
+import gridseek.bench
+from gridseek.bench import reverse_step
 from gridseek.diffusion import _step_hvp, _step_terms
 from gridseek.env import make_blob_prior
 from gridseek.validate import reference_step
@@ -400,7 +401,7 @@ def test_episode_step_matches_written_out_step(mode, zeta, tau, share):
     prior, sched, x, z, observed, values = step_case((16, 16), 8, 8, tau, share)
     cfg = GuidanceConfig(zeta, mode)
     want = reference_step(x, tau, z, observed, values, prior, sched, cfg)
-    got = reverse_step(x, tau, z, observed, values, mixture_fns(prior, sched, mode), cfg, sched)
+    got = reverse_step(x, tau, z, observed, values, prior, cfg, sched)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
@@ -409,10 +410,27 @@ def test_episode_step_matches_written_out_step(mode, zeta, tau, share):
 def test_episode_step_leaves_its_inputs_alone(mode):
     prior, sched, x, z, observed, values = step_case((16, 16), 8, 8, 50, 0.1)
     before = [a.copy() for a in (x, z, observed, values)]
-    reverse_step(x, 50, z, observed, values, mixture_fns(prior, sched, mode),
-                 GuidanceConfig(1.0, mode), sched)
+    reverse_step(x, 50, z, observed, values, prior, GuidanceConfig(1.0, mode), sched)
     for a, b in zip((x, z, observed, values), before):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode, terms, scores", [("exact", 1, 0), ("scaled-identity", 0, 1)])
+def test_episode_step_takes_its_mode_from_the_guidance_config(monkeypatch, mode, terms, scores):
+    """One mixture evaluation per step, by the kernel ``GuidanceConfig.jacobian_mode`` names."""
+    calls = {"terms": 0, "score": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gridseek.bench, "_step_terms", counted("terms", gridseek.bench._step_terms))
+    monkeypatch.setattr(gridseek.bench, "gmm_score", counted("score", gridseek.bench.gmm_score))
+    prior, sched, x, z, observed, values = step_case((16, 16), 8, 8, 50, 0.1)
+    reverse_step(x, 50, z, observed, values, prior, GuidanceConfig(1.0, mode), sched)
+    assert calls == {"terms": terms, "score": scores}
 
 
 @pytest.mark.parametrize("mode, arrays", [("scaled-identity", 3.5), ("exact", 7.5)])
@@ -423,10 +441,10 @@ def test_episode_step_allocates_a_few_particle_arrays(mode, arrays):
     in exact mode; the exact mode's Hessian product keeps its peak.
     """
     prior, sched, x, z, observed, values = step_case((32, 32), 32, 16, 100, 0.03)
-    cfg, fns = GuidanceConfig(1.0, mode), mixture_fns(prior, sched, mode)
+    cfg = GuidanceConfig(1.0, mode)
     tracemalloc.start()
     try:
-        reverse_step(x, 100, z, observed, values, fns, cfg, sched)
+        reverse_step(x, 100, z, observed, values, prior, cfg, sched)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
