@@ -212,6 +212,11 @@ class SceneSpec:
                 raise ConfigError("scene.components must be >= 1")
             if not 0.0 < self.threshold < 1.0:
                 raise ConfigError("scene.threshold must lie in (0, 1)")
+            for key in ("background", "amplitude", "variance"):
+                if not math.isfinite(getattr(self, key)):
+                    raise ConfigError(f"scene.{key} must be finite")
+            if self.variance < 0.0:
+                raise ConfigError("scene.variance must be >= 0")
             if self.blobs_per_component < 1:
                 raise ConfigError("scene.blobs_per_component must be >= 1")
             if not 0.0 < 2.0 * self.radius <= min(self.rows, self.cols) - 1:
@@ -261,6 +266,10 @@ class DirPrior:
     path: str
     variance: float = 1e-3
     kind: str = "dir"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.variance) and self.variance >= 0.0):
+            raise ConfigError("prior.variance must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -422,16 +431,15 @@ class EpisodeResult:
 
 
 def choose(policy: PolicyConfig, state: EpisodeState, batch: ParticleBatch,
-           cell_table: np.ndarray, bcfg: BeliefConfig, reward_fn,
-           rng: np.random.Generator) -> tuple[int, ScoreField]:
+           bcfg: BeliefConfig, reward_fn, rng: np.random.Generator) -> tuple[int, ScoreField]:
     """One query step: score every candidate, mix, and pick the next location.
 
-    ``cell_table`` is the scene's (n_locations, cells) index table. The
-    returned field carries the kappa-weighted mix in ``combined``, with kappa
-    at the state's spent budget unless the policy pins it.
+    The candidates' cells come from the state's scene. The returned field
+    carries the kappa-weighted mix in ``combined``, with kappa at the state's
+    spent budget unless the policy pins it.
     """
     cands = list(state.candidates)
-    field = score_field(batch, cands, cell_table[cands], bcfg, reward_fn)
+    field = score_field(batch, cands, state.scene.all_location_cells()[cands], bcfg, reward_fn)
     k = policy.kappa_override
     if k is None:
         k = kappa(state.budget, state.t, policy.alpha)
@@ -453,12 +461,12 @@ def reverse_step(x, tau: int, z, observed, values, prior: GaussianMixturePrior,
     if gcfg.jacobian_mode == "exact":
         terms = _step_terms(x, tau, prior, sched)
         score_fn = lambda *_: terms.score
-        hessian_fn = lambda _x, _tau, v: _step_hvp(terms, x, v, prior)
+        hessian_fn = lambda v: _step_hvp(terms, x, v, prior)
     else:
         score_fn, hessian_fn = lambda x, tau: gmm_score(x, tau, prior, sched), None
     x_hat = tweedie_denoise(x, tau, score_fn, sched)
     x_prime = ancestral_step(x, x_hat, tau, z, sched)
-    return guidance_step(x_prime, x, x_hat, observed, values, tau, gcfg, sched, hessian_fn), x_hat
+    return guidance_step(x_prime, x_hat, observed, values, tau, gcfg, sched, hessian_fn), x_hat
 
 
 # Bytes in each noise buffer: 64 reverse steps at 16x16 with 8 particles, 8 at 32x32 with 16;
@@ -536,8 +544,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
 
     patch_area = scene.block**2
     net = RewardNet.create([patch_area, *cfg.reward.hidden, 1], reward_seed)
-    state = EpisodeState.fresh(scene, cfg.budget)
-    cell_table = scene.all_location_cells()
+    state = EpisodeState(scene, cfg.budget)
 
     dim = scene.n_cells
     particles = np.stack([r.standard_normal(dim) for r in particle_rngs])  # before any noise
@@ -558,8 +565,8 @@ def run_episode(cfg: ExperimentConfig, seed: int,
             if tau in schedule_set and state.candidates:
                 snapshot = ParticleBatch(to_unit(x_hat))
                 reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
-                location, field_now = choose(cfg.policy, state, snapshot, cell_table,
-                                             bcfg, reward_fn, policy_rng)
+                location, field_now = choose(cfg.policy, state, snapshot, bcfg, reward_fn,
+                                             policy_rng)
                 if not np.isfinite(field_now.reward).all():
                     raise FloatingPointError(f"reward net went non-finite at t={state.t + 1}"
                                              f" (reward.lr={cfg.reward.lr})")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -63,28 +63,42 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step constants of the discretized forward/reverse process.
+    """Per-step constants of the discretized forward/reverse process, derived from ``beta``.
 
     Arrays are indexed by tau - 1 for tau in 1..T. ``alpha_bar_at`` extends
     the cumulative product with abar_0 = 1, which the reverse-step formula
-    needs at the tau = 1 boundary.
+    needs at the tau = 1 boundary. ``sigma_mode`` selects the reverse-step
+    noise scale: ``posterior`` uses sqrt(beta_tau (1 - abar_{tau-1}) / (1 - abar_tau))
+    (zero at tau = 1), ``zero`` gives a deterministic sampler.
     """
 
-    T: int
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
-    sigma_tilde: np.ndarray
+    sigma_mode: str = "posterior"
+    T: int = field(init=False)
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
+    sigma_tilde: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("beta", "alpha", "alpha_bar", "sigma_tilde"):
-            arr = getattr(self, name)
-            if arr.shape != (self.T,):
-                raise ScheduleError(f"{name} must have shape ({self.T},), got {arr.shape}")
-        if np.any(self.beta <= 0.0) or np.any(self.beta >= 1.0):
+        beta = np.asarray(self.beta, dtype=float)
+        if beta.ndim != 1 or beta.size == 0:
+            raise ScheduleError(f"beta must be a nonempty 1-D array, got shape {beta.shape}")
+        if not np.all((beta > 0.0) & (beta < 1.0)):
             raise ScheduleError("beta values must lie in (0, 1)")
-        if np.any(self.sigma_tilde < 0.0):
-            raise ScheduleError("sigma_tilde values must be non-negative")
+        alpha = 1.0 - beta
+        if np.any(alpha == 1.0):  # abar_tau = 1 leaves 1 - abar_tau = 0 to divide by
+            raise ScheduleError(f"beta {beta.min()} is too small: 1 - beta rounds to 1")
+        alpha_bar = np.cumprod(alpha)
+        if self.sigma_mode == "posterior":
+            alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
+            sigma_tilde = np.sqrt(beta * (1.0 - alpha_bar_prev) / (1.0 - alpha_bar))
+        elif self.sigma_mode == "zero":
+            sigma_tilde = np.zeros(beta.size)
+        else:
+            raise ScheduleError(f"unknown sigma_mode {self.sigma_mode!r}")
+        for name, value in (("beta", beta), ("T", beta.size), ("alpha", alpha),
+                            ("alpha_bar", alpha_bar), ("sigma_tilde", sigma_tilde)):
+            object.__setattr__(self, name, value)
 
     def alpha_bar_at(self, tau: int) -> float:
         if tau == 0:
@@ -107,9 +121,7 @@ def make_schedule(
 
     ``linear`` interpolates beta from beta_min to beta_max. ``cosine`` derives
     beta from a squared-cosine signal curve and clips it into
-    [beta_min, beta_max]. ``sigma_mode`` selects the reverse-step noise scale:
-    ``posterior`` uses sqrt(beta_tau (1 - abar_{tau-1}) / (1 - abar_tau))
-    (zero at tau = 1), ``zero`` gives a deterministic sampler.
+    [beta_min, beta_max]. ``NoiseSchedule`` derives the rest, under ``sigma_mode``.
     """
     if T < 1:
         raise ScheduleError(f"step count must be >= 1, got {T}")
@@ -127,22 +139,7 @@ def make_schedule(
         beta = np.clip(1.0 - f[1:] / f[:-1], beta_min, beta_max)
     else:
         raise ScheduleError(f"unknown curve {curve!r}")
-
-    alpha = 1.0 - beta
-    if np.any(alpha == 1.0):  # abar_tau = 1 leaves 1 - abar_tau = 0 to divide by
-        raise ScheduleError(f"beta {beta.min()} is too small: 1 - beta rounds to 1")
-    alpha_bar = np.cumprod(alpha)
-
-    if sigma_mode == "posterior":
-        alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
-        sigma_tilde = np.sqrt(beta * (1.0 - alpha_bar_prev) / (1.0 - alpha_bar))
-    elif sigma_mode == "zero":
-        sigma_tilde = np.zeros(T)
-    else:
-        raise ScheduleError(f"unknown sigma_mode {sigma_mode!r}")
-
-    return NoiseSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar,
-                         sigma_tilde=sigma_tilde)
+    return NoiseSchedule(beta, sigma_mode)
 
 
 @dataclass(frozen=True)
@@ -411,7 +408,6 @@ def ancestral_step(x_tau, x_hat, tau: int, z, sched: NoiseSchedule) -> np.ndarra
 
 def guidance_step(
     x_prime,
-    x_tau,
     x_hat,
     observed: np.ndarray,
     observed_values: np.ndarray,
@@ -420,21 +416,20 @@ def guidance_step(
     sched: NoiseSchedule,
     hessian_fn=None,
 ) -> np.ndarray:
-    """Correct an ancestral step toward the observed cells.
+    """Correct an ancestral step from x_tau toward the observed cells.
 
     Subtracts zeta times the gradient (w.r.t. x_tau) of the squared residual
     between observed contents and the denoised mean at the observed indices.
     In ``scaled-identity`` mode that gradient is (2/sqrt(abar)) (xhat_q - x_q)
     at observed coordinates and zero elsewhere; ``exact`` mode chain-rules
     through the symmetric denoiser Jacobian (I + (1 - abar) H) / sqrt(abar),
-    with ``hessian_fn(x_tau, tau, residual)`` giving the product
-    H(x_tau) residual. Broadcasts over leading batch axes. ``x_hat`` is the
-    denoised mean of x_tau; ``observed`` is an (N,) mask of revealed cells
-    and ``observed_values`` an (N,) array of their contents in sampler space.
+    with ``hessian_fn(residual)`` giving the product H(x_tau) residual.
+    Broadcasts over leading batch axes. ``x_hat`` is the denoised mean of
+    x_tau; ``observed`` is an (N,) mask of revealed cells and
+    ``observed_values`` an (N,) array of their contents in sampler space.
     """
     x_prime = np.asarray(x_prime, dtype=float)
-    x_tau = np.asarray(x_tau, dtype=float)
-    n = x_tau.shape[-1]
+    n = x_prime.shape[-1]
     if observed.shape != (n,) or observed_values.shape != (n,):
         raise ValueError(f"observed mask and values must have shape ({n},)")
     if not observed.any() or cfg.zeta == 0.0:
@@ -452,7 +447,7 @@ def guidance_step(
         raise ValueError("exact guidance requires a hessian_fn")
     residual = np.zeros(residual_obs.shape[:-1] + (n,))
     residual[..., obs] = residual_obs
-    grad = (1.0 - abar) * hessian_fn(x_tau, tau, residual)
+    grad = (1.0 - abar) * hessian_fn(residual)
     grad += residual
     grad *= 2.0
     grad /= math.sqrt(abar)

@@ -87,19 +87,20 @@ class EpisodeState:
 
     scene: Scene
     budget: int
-    observed: np.ndarray
-    values: np.ndarray
-    candidates: list[int] = field(default_factory=list)
-    locations: list[int] = field(default_factory=list)
-    dataset: list[LabeledPatch] = field(default_factory=list)
-    r_total: float = 0.0
+    observed: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
+    candidates: list[int] = field(init=False)
+    locations: list[int] = field(init=False)
+    dataset: list[LabeledPatch] = field(init=False)
+    r_total: float = field(init=False)
 
-    @classmethod
-    def fresh(cls, scene: Scene, budget: int) -> "EpisodeState":
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
-        return cls(scene=scene, budget=budget, observed=np.zeros(scene.n_cells, dtype=bool),
-                   values=np.zeros(scene.n_cells), candidates=list(range(scene.n_locations)))
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        self.observed = np.zeros(self.scene.n_cells, dtype=bool)
+        self.values = np.zeros(self.scene.n_cells)
+        self.candidates = list(range(self.scene.n_locations))
+        self.locations, self.dataset, self.r_total = [], [], 0.0
 
     @property
     def t(self) -> int:

@@ -9,8 +9,9 @@ written out explicitly so the gradients can be certified independently.
 
 Training consumes the revealed true contents; scoring consumes predicted
 contents from the belief particles. Layer layouts: ``default_layout`` is the
-desk-scale stack (patch -> 16 -> 8 -> 1); ``deep_layout`` mirrors the wider
-five-stage stack (patch -> 4 -> 32 -> 16 -> 8 -> 1) available as a preset.
+desk-scale stack (patch -> 16 -> 8 -> 1); ``deep_layout`` is the deeper
+five-stage stack (patch -> 4 -> 32 -> 16 -> 8 -> 1) that the gradient-check
+suite certifies beside it. Episodes take their hidden widths from ``reward.hidden``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class LabeledPatch:
 class RewardNet:
     """Dense probability head with leaky-rectifier hidden activations."""
 
-    sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
@@ -77,18 +77,14 @@ class RewardNet:
             bound = 1.0 / math.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
             biases.append(rng.uniform(-bound, bound, fan_out))
-        return cls(sizes=sizes, weights=weights, biases=biases)
+        return cls(weights, biases)
 
     @property
     def n_params(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def copy(self) -> "RewardNet":
-        return RewardNet(
-            sizes=list(self.sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return RewardNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def _forward(net: RewardNet, H: np.ndarray):
@@ -150,10 +146,9 @@ def _as_matrix(net: RewardNet, patch) -> tuple[np.ndarray, bool]:
     single = X.ndim == 1
     if single:
         X = X[None, :]
-    if X.shape[1] != net.sizes[0]:
-        raise ValueError(
-            f"patch dimension {X.shape[1]} does not match net input {net.sizes[0]}"
-        )
+    width = net.weights[0].shape[0]
+    if X.shape[1] != width:
+        raise ValueError(f"patch dimension {X.shape[1]} does not match net input {width}")
     return X, single
 
 

@@ -651,8 +651,16 @@ def test_exact_episode_evaluates_the_mixture_once_per_reverse_step(monkeypatch):
     (lambda: PolicyConfig(alpha=math.inf), "alpha"),
     (lambda: PolicyConfig(ucb_c=math.nan), "ucb_c"),
     (lambda: ExperimentConfig.from_dict({"policy": {"ucb_c": -5}}), "ucb_c"),
+    (lambda: SceneSpec(background=math.inf), "scene.background"),
+    (lambda: SceneSpec(amplitude=math.nan), "scene.amplitude"),
+    (lambda: SceneSpec(variance=math.inf), "scene.variance"),
+    (lambda: SceneSpec(variance=-1.0), "scene.variance"),
+    (lambda: DirPrior("x", variance=math.inf), "prior.variance"),
+    (lambda: DirPrior("x", variance=-1.0), "prior.variance"),
 ], ids=["lr-inf", "noise-mu-nan", "noise-sigma-inf", "belief-sigma_x2-inf",
-        "config-sigma_x2-inf", "alpha-inf", "ucb_c-nan", "json-ucb_c-negative"])
+        "config-sigma_x2-inf", "alpha-inf", "ucb_c-nan", "json-ucb_c-negative",
+        "background-inf", "amplitude-nan", "variance-inf", "variance-negative",
+        "dir-variance-inf", "dir-variance-negative"])
 def test_config_types_refuse_non_finite_numbers(make, key):
     with pytest.raises(ValueError, match=re.escape(key)):
         make()

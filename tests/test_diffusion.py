@@ -84,6 +84,7 @@ def test_cosine_schedule_valid():
         dict(T=5, beta_max=1.0),
         dict(T=5, curve="geometric"),
         dict(T=5, beta_min=1e-300),
+        dict(T=5, sigma_mode="prior"),
     ],
 )
 def test_schedule_rejects_bad_ranges(kwargs):
@@ -94,6 +95,46 @@ def test_schedule_rejects_bad_ranges(kwargs):
 def test_zero_sigma_mode():
     sched = make_schedule(10, sigma_mode="zero")
     assert np.all(sched.sigma_tilde == 0.0)
+
+
+@pytest.mark.parametrize("curve", ["linear", "cosine"])
+@pytest.mark.parametrize("sigma_mode", ["posterior", "zero"])
+def test_schedule_derives_the_arrays_it_was_once_handed(curve, sigma_mode):
+    T, beta_min, beta_max = 50, 1e-4, 0.3
+    if curve == "linear":
+        beta = np.linspace(beta_min, beta_max, T)
+    else:
+        s = 0.008
+        f = np.cos((np.arange(T + 1) / T + s) / (1.0 + s) * math.pi / 2.0) ** 2
+        beta = np.clip(1.0 - f[1:] / f[:-1], beta_min, beta_max)
+    alpha = 1.0 - beta
+    alpha_bar = np.cumprod(alpha)
+    if sigma_mode == "posterior":
+        prev = np.concatenate(([1.0], alpha_bar[:-1]))
+        sigma_tilde = np.sqrt(beta * (1.0 - prev) / (1.0 - alpha_bar))
+    else:
+        sigma_tilde = np.zeros(T)
+    sched = make_schedule(T, beta_min, beta_max, curve, sigma_mode)
+    assert sched.T == T and type(sched.T) is int
+    for got, want in ((sched.beta, beta), (sched.alpha, alpha), (sched.alpha_bar, alpha_bar),
+                      (sched.sigma_tilde, sigma_tilde)):
+        assert np.array_equal(got, want)
+
+
+def test_schedule_takes_only_beta_and_sigma_mode():
+    """Arrays that contradict beta (alpha is not 1 - beta) have nowhere to go."""
+    with pytest.raises(TypeError):
+        NoiseSchedule(T=2, beta=np.array([0.1, 0.2]), alpha=np.array([0.5, 0.5]),
+                      alpha_bar=np.array([0.99, 0.98]), sigma_tilde=np.array([0.0, 3.0]))
+    with pytest.raises(TypeError):
+        NoiseSchedule(np.array([0.1, 0.2]), alpha=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("beta", [np.zeros((2, 2)) + 0.1, np.zeros(0), np.array([0.1, np.nan])],
+                         ids=["2-D", "empty", "nan"])
+def test_schedule_refuses_a_beta_it_cannot_derive_from(beta):
+    with pytest.raises(ScheduleError):
+        NoiseSchedule(beta)
 
 
 # ------------------------------------------------------------------- scores
@@ -459,11 +500,7 @@ def make_score_fn(prior, sched):
 
 
 def test_tweedie_identity_at_negligible_noise():
-    beta = np.full(1, 1e-15)
-    sched = NoiseSchedule(
-        T=1, beta=beta, alpha=1.0 - beta, alpha_bar=np.cumprod(1.0 - beta),
-        sigma_tilde=np.zeros(1),
-    )
+    sched = NoiseSchedule(np.full(1, 1e-15), sigma_mode="zero")
     prior = GaussianMixturePrior.single([0.4], 1.0)
     x = np.array([0.9])
     np.testing.assert_allclose(
@@ -518,12 +555,7 @@ def test_tweedie_gaussian_oracle_all_steps():
 
 
 def test_ancestral_hand_evaluated_two_step_schedule():
-    beta = np.array([0.1, 0.2])
-    alpha = 1.0 - beta
-    sched = NoiseSchedule(
-        T=2, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha),
-        sigma_tilde=np.zeros(2),
-    )
+    sched = NoiseSchedule(np.array([0.1, 0.2]), sigma_mode="zero")
     x = np.array([1.0])
     # tau=2: abar_1 = 0.9, abar_2 = 0.72
     coef_x = math.sqrt(0.8) * (1.0 - 0.9) / (1.0 - 0.72)
@@ -570,7 +602,7 @@ def test_guidance_noop_without_observations():
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, np.zeros(2, dtype=bool), np.zeros(2), 4,
+        xp, x_hat, np.zeros(2, dtype=bool), np.zeros(2), 4,
         GuidanceConfig(zeta=2.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
@@ -582,7 +614,7 @@ def test_guidance_noop_with_zero_zeta():
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, np.array([True, False]), np.array([0.9, 0.0]), 4,
+        xp, x_hat, np.array([True, False]), np.array([0.9, 0.0]), 4,
         GuidanceConfig(zeta=0.0), sched,
     )
     np.testing.assert_array_equal(out, xp)
@@ -599,7 +631,7 @@ def test_guidance_scaled_identity_gradient_formula():
     zeta = 0.7
     x_hat = tweedie_denoise(x_tau, tau, make_score_fn(prior, sched), sched)
     out = guidance_step(
-        xp, x_tau, x_hat, np.array([True]), np.array([x_obs]), tau,
+        xp, x_hat, np.array([True]), np.array([x_obs]), tau,
         GuidanceConfig(zeta=zeta), sched,
     )
     grad = (2.0 / math.sqrt(abar)) * (math.sqrt(abar) * x_tau[0] - x_obs)
@@ -614,12 +646,12 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
     cells, values = np.array([0, 2]), np.array([0.3, -0.6])
     observed, dense = as_mask(cells, values, 3)
     score_fn = make_score_fn(prior, sched)
-    hess_fn = lambda x, t, v: gmm_score_hessian(x, t, prior, sched, v)
     x_tau = rng.normal(size=3)
+    hess_fn = lambda v: gmm_score_hessian(x_tau, tau, prior, sched, v)
     xp = rng.normal(size=3)
     zeta = 0.31
     out = guidance_step(
-        xp, x_tau, tweedie_denoise(x_tau, tau, score_fn, sched), observed, dense, tau,
+        xp, tweedie_denoise(x_tau, tau, score_fn, sched), observed, dense, tau,
         GuidanceConfig(zeta=zeta, jacobian_mode="exact"), sched, hessian_fn=hess_fn,
     )
 
@@ -641,20 +673,20 @@ def test_guidance_rejects_out_of_range_location():
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="shape"):
         x_hat = tweedie_denoise(np.zeros(2), 3, make_score_fn(prior, sched), sched)
-        guidance_step(np.zeros(2), np.zeros(2), x_hat, np.array([False, False, True]),
+        guidance_step(np.zeros(2), x_hat, np.array([False, False, True]),
                       np.array([0.0, 0.0, 0.1]), 3, GuidanceConfig(), sched)
 
 
 
-def guidance_by_index(x_prime, x_tau, x_hat, cells, values, tau, cfg, sched, hessian_fn):
+def guidance_by_index(x_prime, x_hat, cells, values, tau, cfg, sched, hessian_fn):
     """Guidance from aligned cell-index and value arrays: the mask form's reference."""
     abar = sched.alpha_bar[tau - 1]
-    residual = np.zeros_like(x_tau)
+    residual = np.zeros_like(x_hat)
     residual[..., cells] = x_hat[..., cells] - values
     if cfg.jacobian_mode == "scaled-identity":
         grad = (2.0 / math.sqrt(abar)) * residual
     else:
-        grad = 2.0 * (residual + (1.0 - abar) * hessian_fn(x_tau, tau, residual)) / math.sqrt(abar)
+        grad = 2.0 * (residual + (1.0 - abar) * hessian_fn(residual)) / math.sqrt(abar)
     return x_prime - cfg.zeta * grad
 
 
@@ -665,7 +697,7 @@ def test_guidance_mask_form_matches_index_form(mode):
     prior = random_prior(rng, n, 3)
     sched = make_schedule(40)
     score_fn = make_score_fn(prior, sched)
-    hess_fn = lambda x, t, v: gmm_score_hessian(x, t, prior, sched, v)
+    hess_fn = lambda v: gmm_score_hessian(x_tau, tau, prior, sched, v)  # this pass's x_tau, tau
     cfg = GuidanceConfig(zeta=0.4, jacobian_mode=mode)
     for batch in [(), (4,), (), (4,), (2, 3)]:
         cells = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)  # any order
@@ -674,8 +706,8 @@ def test_guidance_mask_form_matches_index_form(mode):
         tau = int(rng.integers(1, sched.T + 1))
         x_tau, xp = rng.normal(size=(*batch, n)), rng.normal(size=(*batch, n))
         xh = tweedie_denoise(x_tau, tau, score_fn, sched)
-        got = guidance_step(xp, x_tau, xh, observed, dense, tau, cfg, sched, hess_fn)
-        want = guidance_by_index(xp, x_tau, xh, cells, values, tau, cfg, sched, hess_fn)
+        got = guidance_step(xp, xh, observed, dense, tau, cfg, sched, hess_fn)
+        want = guidance_by_index(xp, xh, cells, values, tau, cfg, sched, hess_fn)
         assert np.array_equal(got, want)
 
 
@@ -684,16 +716,16 @@ def test_exact_guidance_applies_one_product_to_the_whole_batch():
     prior, sched, tau = random_prior(rng, 6, 3), make_schedule(30), 11
     calls = []
 
-    def hess_fn(x, t, v):
-        calls.append((x.shape, v.shape))
-        return gmm_score_hessian(x, t, prior, sched, v)
+    def hess_fn(v):
+        calls.append(v.shape)
+        return gmm_score_hessian(x_tau, tau, prior, sched, v)
 
     x_tau = rng.normal(size=(2, 3, 6))
     xh = tweedie_denoise(x_tau, tau, make_score_fn(prior, sched), sched)
     observed = np.array([True, False, True, False, False, True])
-    guidance_step(rng.normal(size=x_tau.shape), x_tau, xh, observed, np.zeros(6), tau,
+    guidance_step(rng.normal(size=x_tau.shape), xh, observed, np.zeros(6), tau,
                   GuidanceConfig(jacobian_mode="exact"), sched, hess_fn)
-    assert calls == [((2, 3, 6), (2, 3, 6))]
+    assert calls == [(2, 3, 6)]
 
 
 # --------------------------------------------- contraction and determinism
@@ -712,7 +744,7 @@ def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
         xh = tweedie_denoise(x, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in rngs])
         xp = ancestral_step(x, xh, tau, z, sched)
-        x = guidance_step(xp, x, xh, observed, values, tau, cfg, sched)
+        x = guidance_step(xp, xh, observed, values, tau, cfg, sched)
     return x
 
 

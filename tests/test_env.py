@@ -99,7 +99,7 @@ def test_noise_matches_duplicate_seeded_oracle():
 
 
 def test_repeat_measurement_rejected():
-    state = EpisodeState.fresh(simple_scene(), budget=4)
+    state = EpisodeState(simple_scene(), budget=4)
     m = measure(state.scene, 1, np.random.default_rng(0))
     state.apply(m, m.content)
     with pytest.raises(RepeatMeasurementError):

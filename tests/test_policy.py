@@ -136,7 +136,7 @@ def test_combined_empty_candidates():
 
 
 def fresh_state(budget=4):
-    return EpisodeState.fresh(scene_4x4(), budget)
+    return EpisodeState(scene_4x4(), budget)
 
 
 def consensus_batch(dim=16):
@@ -145,9 +145,8 @@ def consensus_batch(dim=16):
 
 
 def choose_in(state, cfg, batch, reward_fn=None, seed=0):
-    """The episode's query step on ``state``, against its scene's cell table."""
-    return choose(cfg, state, batch, state.scene.all_location_cells(), BCFG,
-                  reward_fn, np.random.default_rng(seed))
+    """The episode's query step on ``state``."""
+    return choose(cfg, state, batch, BCFG, reward_fn, np.random.default_rng(seed))
 
 
 def test_single_candidate_every_policy():
@@ -284,7 +283,7 @@ def strip_state(budget=3):
     # 1x4 strip: every unmeasured location keeps a measured neighbor
     grid = np.array([0.0, 0.2, 0.4, 1.0])
     scene = Scene(grid=grid, y=np.array([0.0, 0.0, 0.0, 1.0]), shape=(1, 4))
-    state = EpisodeState.fresh(scene, budget)
+    state = EpisodeState(scene, budget)
     rng = np.random.default_rng(0)
     for loc in (0, 3):
         m = measure(scene, loc, rng)
@@ -358,7 +357,7 @@ def test_neighborhood_estimates_match_candidate_loop(data, rows, cols, block, dy
     n_cells = n_loc * block * block
     scene = Scene(grid=np.zeros(n_cells), y=np.zeros(n_cells),
                   shape=(rows * block, cols * block), block=block)
-    state = EpisodeState.fresh(scene, budget=n_loc)
+    state = EpisodeState(scene, budget=n_loc)
     state.locations = list(order[:n_measured])
     state.dataset = [LabeledPatch(np.zeros(block * block), y) for y in labels]
     state.candidates = candidates
@@ -389,6 +388,20 @@ def test_state_tracks_budget_and_candidates():
         state.apply(measure(state.scene, 6, rng), np.zeros(1))
 
 
+def test_state_derives_its_record_from_scene_and_budget():
+    scene = scene_4x4()
+    state = EpisodeState(scene, 2)
+    assert state.candidates == list(range(16)) and state.locations == state.dataset == []
+    assert state.observed.shape == state.values.shape == (16,) and not state.observed.any()
+    assert state.r_total == 0.0 and state.t == 0
+    with pytest.raises(TypeError):
+        EpisodeState(scene, 2, candidates=[7])
+    with pytest.raises(TypeError):  # a record that contradicts its 4x4 scene
+        EpisodeState(scene, 2, np.zeros(9, dtype=bool), np.zeros(3), candidates=[7, 8])
+    with pytest.raises(ValueError, match="budget"):
+        EpisodeState(scene, 0)
+
+
 def record_of(state):
     """A copy of everything ``apply`` may change."""
     return (list(state.candidates), list(state.locations), state.observed.copy(),
@@ -403,7 +416,7 @@ def assert_record_equal(a, b):
 
 def test_state_record_concatenates_applies():
     scene = Scene(grid=np.linspace(0.0, 1.0, 16), y=np.zeros(16), shape=(4, 4), block=2)
-    state = EpisodeState.fresh(scene, budget=4)
+    state = EpisodeState(scene, budget=4)
     assert state.observed.shape == (16,) and not state.observed.any()
     np.testing.assert_array_equal(state.values, np.zeros(16))
     applies = [(3, [0.5, 0.6, 0.7, 0.8]), (0, np.array([[0.1, 0.2], [0.3, 0.4]])),
@@ -436,7 +449,7 @@ def test_episode_state_record_fuzz(data, block, seed):
     budget = data.draw(st.integers(1, n_loc + 2))
     steps = data.draw(st.lists(st.tuples(st.integers(0, n_loc - 1),
                                          st.sampled_from([0, 0, 0, -1, 1])), max_size=12))
-    state = EpisodeState.fresh(scene, budget)
+    state = EpisodeState(scene, budget)
     observed, values, total = np.zeros(scene.n_cells, dtype=bool), np.zeros(scene.n_cells), 0.0
     for q, misalign in steps:
         m = measure(scene, q, rng)

@@ -40,7 +40,7 @@ def test_zero_parameters_predict_half():
 
 
 def test_hand_set_single_layer():
-    net = RewardNet(sizes=[1, 1], weights=[np.array([[1.0]])], biases=[np.zeros(1)])
+    net = RewardNet(weights=[np.array([[1.0]])], biases=[np.zeros(1)])
     assert predict(net, np.array([0.0])) == pytest.approx(0.5)
     assert predict(net, np.array([2.0])) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
 
@@ -104,13 +104,21 @@ def test_predict_dimension_mismatch():
         predict(net, np.zeros(5))
 
 
+def test_net_reads_its_input_width_from_its_first_weights():
+    net = RewardNet(weights=[np.array([[2.0]])], biases=[np.zeros(1)])
+    with pytest.raises(ValueError, match="patch dimension 3 does not match net input 1"):
+        predict(net, np.array([1.0, 5.0, -7.0]))
+    with pytest.raises(TypeError):
+        RewardNet(sizes=[3, 1], weights=[np.array([[2.0]])], biases=[np.zeros(1)])
+
+
 # ---------------------------------------------------------------- bce loss
 
 
 def force_logit(value):
     """Single-layer net that always outputs the given logit."""
     return RewardNet(
-        sizes=[1, 1], weights=[np.array([[0.0]])], biases=[np.array([value])]
+        weights=[np.array([[0.0]])], biases=[np.array([value])]
     )
 
 
@@ -229,7 +237,7 @@ def test_gradients_vanish_at_near_perfect_fit():
 
 
 def test_single_parameter_slope():
-    net = RewardNet(sizes=[1, 1], weights=[np.array([[0.7]])], biases=[np.zeros(1)])
+    net = RewardNet(weights=[np.array([[0.7]])], biases=[np.zeros(1)])
     net.biases[0].flags.writeable = True
     data = [LabeledPatch(np.array([1.0]), 1.0)]
     assert grad_check(net, data) < 1e-6
