@@ -216,8 +216,7 @@ def score_field(
     pair_sum = np.zeros(n_loc)
     for i in range(n_b - 1):
         d = np.subtract(vals[i + 1:], vals[i], out=diff[: n_b - 1 - i])
-        d *= d
-        p = np.sum(d, axis=1, out=pair_sq[: n_b - 1 - i])
+        p = np.einsum("icl,icl->il", d, d, out=pair_sq[: n_b - 1 - i])
         p /= -two_s2
         pair_sum += np.exp(p, out=p).sum(axis=0)
     likeli = n_b + 2.0 * pair_sum

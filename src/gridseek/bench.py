@@ -575,7 +575,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
                 picked = field_now.locations.index(location)
                 m = measure(scene, location, noise_rng)
                 state.apply(m, to_engine(m.content))
-                net = train(net, state.dataset, cfg.reward.epochs, cfg.reward.lr)
+                net = train(net, state.dataset[:state.t], cfg.reward.epochs, cfg.reward.lr)
                 records.append(StepRecord(state.t, tau, *field_now.row(picked), m.y,
                                           marginal_entropy(snapshot, bcfg)))
     wall = time.perf_counter() - start

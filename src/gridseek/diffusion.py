@@ -313,6 +313,7 @@ def _step_terms(x: np.ndarray, tau, prior, sched) -> _StepTerms:
     """The responsibilities rho_k, evaluated once at (x, tau), and the score built from them."""
     terms, root, variances = _component_log_terms(x, tau, prior, sched)
     resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
+    resp[resp < np.finfo(float).tiny] = 0.0  # subnormal rho_k weigh nothing but slow the pulls
     resp /= resp.sum(axis=-1, keepdims=True)
     w = resp / variances
     return _StepTerms(w, root, variances, _weighted_pulls(w, root, prior.means, x))

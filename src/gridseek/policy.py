@@ -27,7 +27,6 @@ import numpy as np
 
 from gridseek.belief import ScoreField
 from gridseek.env import Measurement, RepeatMeasurementError, Scene
-from gridseek.reward import LabeledPatch
 
 __all__ = [
     "POLICY_KINDS",
@@ -82,7 +81,8 @@ class EpisodeState:
 
     ``observed`` is an (N,) mask of revealed cells and ``values`` their
     contents in sampler space (zero elsewhere), written by each ``apply``;
-    ``dataset`` holds each query's raw contents and y.
+    row t of the (budget, patch_area + 1) ``dataset`` holds query t's raw
+    contents, then its y: the reward net trains on ``dataset[:t]``.
     """
 
     scene: Scene
@@ -91,7 +91,7 @@ class EpisodeState:
     values: np.ndarray = field(init=False)
     candidates: list[int] = field(init=False)
     locations: list[int] = field(init=False)
-    dataset: list[LabeledPatch] = field(init=False)
+    dataset: np.ndarray = field(init=False)
     r_total: float = field(init=False)
 
     def __post_init__(self):
@@ -100,7 +100,8 @@ class EpisodeState:
         self.observed = np.zeros(self.scene.n_cells, dtype=bool)
         self.values = np.zeros(self.scene.n_cells)
         self.candidates = list(range(self.scene.n_locations))
-        self.locations, self.dataset, self.r_total = [], [], 0.0
+        self.dataset = np.zeros((self.budget, self.scene.block**2 + 1))
+        self.locations, self.r_total = [], 0.0
 
     @property
     def t(self) -> int:
@@ -121,11 +122,11 @@ class EpisodeState:
         engine_values = np.asarray(engine_values, dtype=float).ravel()
         if engine_values.shape != cells.shape:
             raise ValueError("engine_values must hold one value per cell")
+        self.dataset[self.t] = *np.ravel(m.content), m.y
         self.candidates.remove(m.location)
         self.locations.append(m.location)
         self.observed[cells] = True
         self.values[cells] = engine_values
-        self.dataset.append(LabeledPatch(m.content, m.y))
         self.r_total += m.y
 
 
@@ -180,7 +181,7 @@ def _neighborhood_estimates(state: EpisodeState):
     """
     rows, cols = state.scene.location_shape
     maps = np.zeros((2, rows * cols))
-    maps[0, state.locations] = [p.label for p in state.dataset]
+    maps[0, state.locations] = state.dataset[:state.t, -1]
     maps[1, state.locations] = 1.0
     padded = np.pad(maps.reshape(2, rows, cols), ((0, 0), (1, 1), (1, 1)))
     sums = sum(padded[:, i:i + rows, j:j + cols] for i in range(3) for j in range(3))

@@ -3,9 +3,10 @@
 A small dense network maps a flattened patch to one probability. It starts
 from random weights and is refit after every measurement on all pairs
 (patch, target ratio) gathered so far, by full-batch gradient descent on the
-summed binary cross-entropy. Soft labels in [0, 1] are trained against the
-same objective. Forward, backward, and the finite-difference check are all
-written out explicitly so the gradients can be certified independently.
+summed binary cross-entropy, on one labelled array whose rows are a patch and
+its label. Soft labels in [0, 1] are trained against the same objective.
+Forward, backward, and the finite-difference check are all written out
+explicitly so the gradients can be certified independently.
 
 Training consumes the revealed true contents; scoring consumes predicted
 contents from the belief particles. Layer layouts: ``default_layout`` is the
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LabeledPatch",
     "RewardNet",
     "default_layout",
     "deep_layout",
@@ -44,19 +44,6 @@ def default_layout(patch_area: int) -> list[int]:
 
 def deep_layout(patch_area: int) -> list[int]:
     return [patch_area, 4, 32, 16, 8, 1]
-
-
-@dataclass(frozen=True)
-class LabeledPatch:
-    """One supervised pair: flattened revealed contents and target ratio."""
-
-    patch: np.ndarray
-    label: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "patch", np.asarray(self.patch, dtype=float).ravel())
-        if not 0.0 <= self.label <= 1.0:
-            raise ValueError(f"label must lie in [0, 1], got {self.label}")
 
 
 @dataclass
@@ -87,16 +74,16 @@ class RewardNet:
         return RewardNet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-def _forward(net: RewardNet, H: np.ndarray):
-    """Per-layer pre-activations and activations of the (inputs, rows) batch ``H``.
+def _forward(net: RewardNet, H: np.ndarray) -> list[np.ndarray]:
+    """Per-layer activations of the (inputs, rows) batch ``H``, starting with ``H``.
 
     Feature-major: each layer's activations are (width, rows). A one-input
     layer (the default 1x1 patch) takes its product and its bias in one
     K = 2 GEMM, [w; b]^T @ [h; 1], in place of a one-column product and a
     bias add; BENCH_lean-step.json measures the two end to end.
-    The last pre-activation is the (1, rows) logits.
+    The last activation is the (1, rows) logits.
     """
-    pres, acts = [], [H]
+    acts = [H]
     h = H
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -107,14 +94,13 @@ def _forward(net: RewardNet, H: np.ndarray):
         else:
             z = w.T @ h
             z += b[:, None]
-        pres.append(z)
         if i == last:
             h = z
         else:  # max(z, LEAK * z) written into LEAK * z: one (width, rows) array less per layer
             h = LEAK * z
             np.maximum(z, h, out=h)
         acts.append(h)
-    return pres, acts
+    return acts
 
 
 def _logits(net: RewardNet, X: np.ndarray) -> np.ndarray:
@@ -131,14 +117,13 @@ def _logits(net: RewardNet, X: np.ndarray) -> np.ndarray:
     H = X.T
     edges = [*range(0, max(n - 1, 1), PREDICT_BLOCK), n]
     for start, stop in zip(edges[:-1], edges[1:]):
-        out[start:stop] = _forward(net, H[:, start:stop])[0][-1][0]
+        out[start:stop] = _forward(net, H[:, start:stop])[-1][0]
     return out
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated on the side of zero where exp cannot overflow."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Logistic function as 0.5 + 0.5 tanh(z / 2): one transcendental, and tanh cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 def _as_matrix(net: RewardNet, patch) -> tuple[np.ndarray, bool]:
@@ -162,44 +147,47 @@ def predict(net: RewardNet, patch):
     return float(probs[0]) if single else probs
 
 
-def _stack(net: RewardNet, dataset):
-    if len(dataset) == 0:
-        raise ValueError("dataset must be nonempty")
-    X, _ = _as_matrix(net, np.stack([p.patch for p in dataset]))
-    return X, np.array([p.label for p in dataset], dtype=float)
+def _split(net: RewardNet, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, inputs) patches and (rows,) labels of a labelled (rows, inputs + 1) array."""
+    dataset = np.asarray(dataset, dtype=float)
+    if dataset.ndim != 2 or len(dataset) == 0:
+        raise ValueError("dataset must be a nonempty (rows, inputs + 1) array")
+    X, y = _as_matrix(net, dataset[:, :-1])[0], dataset[:, -1]
+    if not np.all((y >= 0.0) & (y <= 1.0)):
+        raise ValueError("labels must lie in [0, 1]")
+    return X, y
 
 
 def bce_loss(net: RewardNet, dataset) -> float:
-    """Summed cross-entropy -(y log p + (1 - y) log(1 - p)) over the dataset.
+    """Summed cross-entropy -(y log p + (1 - y) log(1 - p)) over a labelled array.
 
-    Evaluated from logits (softplus form) so near-perfect fits stay finite.
+    Evaluated from logits, as logaddexp(0, z) - y z, so near-perfect fits stay finite.
     """
-    X, y = _stack(net, dataset)
+    X, y = _split(net, dataset)
     z = _logits(net, X)
-    softplus = np.where(z > 30.0, z, np.log1p(np.exp(np.minimum(z, 30.0))))
-    return float(np.sum(softplus - y * z))
+    return float(np.sum(np.logaddexp(0.0, z) - y * z))
 
 
 def _gradients(net: RewardNet, X: np.ndarray, y: np.ndarray):
-    pres, acts = _forward(net, X.T)
-    delta = (_sigmoid(pres[-1][0]) - y)[None, :]  # dL/dz, summed loss, (1, rows)
+    acts = _forward(net, X.T)
+    delta = (_sigmoid(acts[-1][0]) - y)[None, :]  # dL/dz, summed loss, (1, rows)
     grads_w, grads_b = [None] * len(net.weights), [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
         grads_w[i] = acts[i] @ delta.T
         grads_b[i] = delta.sum(axis=1)
         if i > 0:
             delta = net.weights[i] @ delta
-            delta = delta * np.where(pres[i - 1] > 0.0, 1.0, LEAK)
+            delta = delta * np.where(acts[i] > 0.0, 1.0, LEAK)  # LEAK > 0: act > 0 iff its input > 0
     return grads_w, grads_b
 
 
 def train(net: RewardNet, dataset, epochs: int = 3, lr: float = 0.01) -> RewardNet:
-    """Full-batch gradient descent on the summed cross-entropy.
+    """Full-batch gradient descent on the summed cross-entropy of a labelled array.
 
     Returns a new net; the input parameters are left untouched so score
     evaluation can keep reading a stable snapshot.
     """
-    X, y = _stack(net, dataset)
+    X, y = _split(net, dataset)
     out = net.copy()
     for _ in range(epochs):
         grads_w, grads_b = _gradients(out, X, y)
@@ -213,23 +201,19 @@ def grad_check(net: RewardNet, dataset, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
     if net.n_params > 1000:
         raise ValueError("finite-difference check limited to nets under 1k params")
-    X, y = _stack(net, dataset)
+    X, y = _split(net, dataset)
     grads_w, grads_b = _gradients(net, X, y)
     worst = 0.0
     probe = net.copy()
-
-    def loss() -> float:
-        return bce_loss(probe, dataset)
-
     for arrs, grads in ((probe.weights, grads_w), (probe.biases, grads_b)):
         for arr, grad in zip(arrs, grads):
             flat, gflat = arr.ravel(), grad.ravel()
             for k in range(flat.size):
                 keep = flat[k]
                 flat[k] = keep + h
-                hi = loss()
+                hi = bce_loss(probe, dataset)
                 flat[k] = keep - h
-                lo = loss()
+                lo = bce_loss(probe, dataset)
                 flat[k] = keep
                 fd = (hi - lo) / (2.0 * h)
                 denom = max(abs(gflat[k]), abs(fd), 1e-6)

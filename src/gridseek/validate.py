@@ -27,7 +27,7 @@ from gridseek.diffusion import (
     tweedie_denoise,
 )
 from gridseek.env import make_blob_prior
-from gridseek.reward import LabeledPatch, RewardNet, deep_layout, default_layout, grad_check
+from gridseek.reward import RewardNet, deep_layout, default_layout, grad_check
 
 __all__ = ["run_all", "SUITES"]
 
@@ -153,10 +153,7 @@ def check_reward_gradients(seed: int = 3):
     worst = 0.0
     for layout in (default_layout(4), deep_layout(4)):
         net = RewardNet.create(layout, seed=seed)
-        data = [
-            LabeledPatch(rng.uniform(0, 1, 4), float(rng.integers(0, 2)))
-            for _ in range(6)
-        ]
+        data = np.array([[*rng.uniform(0, 1, 4), rng.integers(0, 2)] for _ in range(6)])
         worst = max(worst, grad_check(net, data))
     return worst < 1e-4, f"max rel err {worst:.2e} (tol 1e-4)"
 

@@ -379,6 +379,24 @@ def test_pair_free_kernels_centre_before_squaring(cells):
     assert_matches_pair_tensors(batch, coord_sets, BeliefConfig(sigma_x2=1e-12))
 
 
+@pytest.mark.parametrize("cells", [1, 4, 9])
+def test_pair_distances_equal_square_then_sum(cells):
+    """One einsum per pair block gives the bits of squaring the differences, then summing cells."""
+    rng = np.random.default_rng(cells)
+    n_b, n_loc = 8, 40
+    for scale in (1e-3, 1.0, 1e3):
+        batch = batch_of(scale * rng.normal(size=(n_b, 64)))
+        coord_sets = rng.integers(0, 64, size=(n_loc, cells))
+        vals = batch.denoised[:, coord_sets.T]
+        pair_sum = np.zeros(n_loc)
+        for i in range(n_b - 1):
+            d = vals[i + 1:] - vals[i]
+            d *= d
+            pair_sum += np.exp(np.sum(d, axis=1) / -(2.0 * CFG.sigma_x2)).sum(axis=0)
+        field = score_field(batch, list(range(n_loc)), coord_sets, CFG)
+        np.testing.assert_array_equal(field.likelihood, n_b + 2.0 * pair_sum)
+
+
 @pytest.mark.parametrize("kernel", ["score_field", "marginal_entropy"])
 def test_measurement_kernels_allocate_no_pair_tensor(kernel):
     # at n_b 16 and 1024 cells, one (n_b, n_b, 1024) float array is 2 MiB

@@ -265,6 +265,11 @@ def test_file_scene_config_runs(tmp_path, config_path):
     (True, "prior.varaince", 0.5),
     pytest.param(True, "prior", {"kind": "dir", "path": "corpus", "varaince": 0.5},
                  id="True-prior-dir-varaince"),
+    # blob-scene values that SceneSpec refuses when the config is built
+    (False, "scene.variance", -1.0),
+    (False, "scene.rows", 1),
+    (False, "scene.blobs_per_component", 0),
+    (False, "scene.radius", 0.0),
 ])
 def test_bad_config_value_exits_1_under_run_and_suite(tmp_path, config_path, capsys,
                                                       file_scene, key, value):
@@ -305,10 +310,6 @@ def test_non_object_config_document_exits_1(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("file_scene,key,value,named", [
     (False, "scene.block", 4, "block"),
-    (False, "scene.variance", -1.0, "variance"),
-    (False, "scene.rows", 1, "scene.rows"),
-    (False, "scene.blobs_per_component", 0, "blobs_per_component"),
-    (False, "scene.radius", 0.0, "radius"),
     (True, "scene.path", "missing.csv", "missing.csv"),
     (True, "prior.path", "missing.json", "missing.json"),
     (True, "scene.target", "file", "scene.target.csv"),

@@ -22,7 +22,7 @@ from gridseek.diffusion import (
 )
 import gridseek.bench
 from gridseek.bench import reverse_step
-from gridseek.diffusion import _step_hvp, _step_terms
+from gridseek.diffusion import _component_log_terms, _step_hvp, _step_terms
 from gridseek.env import make_blob_prior
 from gridseek.validate import reference_step
 
@@ -387,6 +387,17 @@ def test_shared_terms_product_is_the_hessian_product_bit_for_bit(case):
     np.testing.assert_array_equal(terms.score, gmm_score(x, tau, prior, sched))
     np.testing.assert_array_equal(_step_hvp(terms, x, v, prior),
                                   gmm_score_hessian(x, tau, prior, sched, v))
+
+
+def test_step_terms_flush_subnormal_responsibilities():
+    """A responsibility below the smallest normal float is set to 0 before normalising."""
+    prior = GaussianMixturePrior(np.array([0.5, 0.5]), np.array([[0.0], [40.0]]), np.ones(2))
+    sched = make_schedule(1, 0.1, 0.1)
+    x = np.zeros((1, 1))
+    log_terms, _, _ = _component_log_terms(x, 1, prior, sched)
+    assert 0.0 < math.exp(log_terms[0, 1] - log_terms[0, 0]) < np.finfo(float).tiny
+    w = _step_terms(x, 1, prior, sched).w
+    assert w[0, 1] == 0.0 and w[0, 0] > 0.0
 
 
 @pytest.mark.parametrize("tau", [1, 20, 100, 200])

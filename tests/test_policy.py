@@ -19,7 +19,7 @@ from gridseek.policy import (
     kappa,
     select_from_field,
 )
-from gridseek.reward import LabeledPatch, RewardNet, default_layout, predict
+from gridseek.reward import RewardNet, default_layout, predict, train
 
 BCFG = BeliefConfig()
 
@@ -331,7 +331,7 @@ def neighborhood_by_loop(state):
     """The bandit estimate as a loop over candidates: the box-sum's reference."""
     loc_cols = state.scene.location_shape[1]
     measured = np.asarray(state.locations, dtype=int)
-    ys = np.array([p.label for p in state.dataset])
+    ys = state.dataset[:state.t, -1]
     est = np.empty(len(state.candidates))
     counts = np.empty(len(state.candidates), dtype=int)
     mr, mc = measured // loc_cols, measured % loc_cols
@@ -359,7 +359,7 @@ def test_neighborhood_estimates_match_candidate_loop(data, rows, cols, block, dy
                   shape=(rows * block, cols * block), block=block)
     state = EpisodeState(scene, budget=n_loc)
     state.locations = list(order[:n_measured])
-    state.dataset = [LabeledPatch(np.zeros(block * block), y) for y in labels]
+    state.dataset[:n_measured, -1] = labels
     state.candidates = candidates
     est, counts = _neighborhood_estimates(state)
     want_est, want_counts = neighborhood_by_loop(state)
@@ -381,7 +381,7 @@ def test_state_tracks_budget_and_candidates():
     assert state.locations == [3] and state.budget - state.t == 1
     assert 3 not in state.candidates
     assert state.r_total == m.y
-    assert len(state.dataset) == 1
+    np.testing.assert_array_equal(state.dataset, [[*m.content, m.y], [0.0, 0.0]])
     m2 = measure(state.scene, 5, rng)
     state.apply(m2, m2.content)
     with pytest.raises(ValueError):
@@ -391,7 +391,8 @@ def test_state_tracks_budget_and_candidates():
 def test_state_derives_its_record_from_scene_and_budget():
     scene = scene_4x4()
     state = EpisodeState(scene, 2)
-    assert state.candidates == list(range(16)) and state.locations == state.dataset == []
+    assert state.candidates == list(range(16)) and state.locations == []
+    np.testing.assert_array_equal(state.dataset, np.zeros((2, 2)))  # budget rows of patch + y
     assert state.observed.shape == state.values.shape == (16,) and not state.observed.any()
     assert state.r_total == 0.0 and state.t == 0
     with pytest.raises(TypeError):
@@ -404,14 +405,14 @@ def test_state_derives_its_record_from_scene_and_budget():
 
 def record_of(state):
     """A copy of everything ``apply`` may change."""
-    return (list(state.candidates), list(state.locations), state.observed.copy(),
-            state.values.copy(), len(state.dataset), state.r_total)
+    return (list(state.candidates), list(state.locations), state.r_total,
+            state.observed.copy(), state.values.copy(), state.dataset.copy())
 
 
 def assert_record_equal(a, b):
-    assert a[:2] == b[:2] and a[4:] == b[4:]
-    np.testing.assert_array_equal(a[2], b[2])
-    np.testing.assert_array_equal(a[3], b[3])
+    assert a[:3] == b[:3]
+    for x, y in zip(a[3:], b[3:]):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_state_record_concatenates_applies():
@@ -430,7 +431,7 @@ def test_state_record_concatenates_applies():
                        -1.0, 1.0, 0.5, 0.6, 0.0, 0.25, 0.7, 0.8])
     assert state.observed.dtype == bool and state.values.dtype == float
     assert state.locations == [3, 0, 2] and state.t == 3
-    assert [p.label for p in state.dataset] == [0.0, 0.0, 0.0]
+    np.testing.assert_array_equal(state.dataset[:, -1], [0.0, 0.0, 0.0, 0.0])
     before = record_of(state)
     with pytest.raises(ValueError, match="one value per cell"):
         state.apply(measure(scene, 1, None), [0.0])
@@ -470,6 +471,8 @@ def test_episode_state_record_fuzz(data, block, seed):
             np.testing.assert_array_equal(state.observed, observed)
             np.testing.assert_array_equal(state.values, values)
             assert state.r_total == total
+            np.testing.assert_array_equal(state.dataset[state.t - 1], [*m.content, m.y])
+            assert not state.dataset[state.t:].any()
             error = None
         if error is not None:
             with pytest.raises(error, match=match):
@@ -479,6 +482,26 @@ def test_episode_state_record_fuzz(data, block, seed):
         assert sorted(state.candidates + state.locations) == list(range(n_loc))
         assert state.t == len(state.locations) <= budget
         assert state.observed.dtype == bool and state.values.dtype == float
+
+
+def test_dataset_row_t_holds_measurement_t_and_trains_like_a_copy():
+    grid = np.random.default_rng(5).uniform(0.0, 1.0, 36)
+    scene = Scene(grid=grid, y=(grid > 0.5).astype(float), shape=(6, 6), block=2,
+                  noise=(0.0, 0.05))
+    state = EpisodeState(scene, budget=5)
+    assert state.dataset.shape == (5, 5)
+    rng = np.random.default_rng(6)
+    net = RewardNet.create(default_layout(4), seed=6)
+    for q in (4, 0, 7):
+        m = measure(scene, q, rng)
+        state.apply(m, m.content)
+        np.testing.assert_array_equal(state.dataset[state.t - 1], [*m.content, m.y])
+        view = train(net, state.dataset[:state.t], epochs=3, lr=0.05)
+        fresh = train(net, state.dataset[:state.t].copy(), epochs=3, lr=0.05)
+        for a, b in zip(view.weights + view.biases, fresh.weights + fresh.biases):
+            assert np.array_equal(a, b)
+        net = view
+    assert not state.dataset[3:].any()
 
 
 def test_no_remeasurement_within_episode():

@@ -7,10 +7,11 @@ import pytest
 from gridseek.reward import (
     LEAK,
     PREDICT_BLOCK,
-    LabeledPatch,
     RewardNet,
     _forward,
+    _gradients,
     _sigmoid,
+    _split,
     bce_loss,
     deep_layout,
     default_layout,
@@ -21,10 +22,13 @@ from gridseek.reward import (
 
 
 def toy_dataset():
-    return [
-        LabeledPatch(np.array([0.05]), 0.0),
-        LabeledPatch(np.array([0.95]), 1.0),
-    ]
+    """A labelled array: each row is a one-cell patch, then its label."""
+    return np.array([[0.05, 0.0], [0.95, 1.0]])
+
+
+def random_dataset(rng, rows, inputs):
+    """Uniform patches with 0/1 labels, drawn row by row."""
+    return np.array([[*rng.uniform(0, 1, inputs), rng.integers(0, 2)] for _ in range(rows)])
 
 
 # ----------------------------------------------------------------- predict
@@ -88,7 +92,7 @@ def test_blocked_predict_is_bit_identical_to_full_forward(layout, rows):
     for seed in range(8):
         net = RewardNet.create(layout, seed=seed)
         X = rng.random((rows, layout[0]))  # patches are clipped to [0, 1]
-        assert np.array_equal(predict(net, X), _sigmoid(_forward(net, X.T)[0][-1][0]))
+        assert np.array_equal(predict(net, X), _sigmoid(_forward(net, X.T)[-1][0]))
 
 
 def test_predict_output_in_open_interval():
@@ -124,7 +128,7 @@ def force_logit(value):
 
 def test_bce_half_prediction_hard_label():
     net = force_logit(0.0)  # prediction 0.5
-    loss = bce_loss(net, [LabeledPatch(np.zeros(1), 1.0)])
+    loss = bce_loss(net, [[0.0, 1.0]])
     assert loss == pytest.approx(math.log(2.0))
 
 
@@ -133,35 +137,45 @@ def test_bce_three_sample_hand_arithmetic():
         return math.log(p / (1.0 - p))
 
     samples = [
-        (force_logit(logit(0.9)), LabeledPatch(np.zeros(1), 1.0), -math.log(0.9)),
-        (force_logit(logit(0.1)), LabeledPatch(np.zeros(1), 0.0), -math.log(0.9)),
-        (force_logit(logit(0.5)), LabeledPatch(np.zeros(1), 1.0), -math.log(0.5)),
+        (force_logit(logit(0.9)), [0.0, 1.0], -math.log(0.9)),
+        (force_logit(logit(0.1)), [0.0, 0.0], -math.log(0.9)),
+        (force_logit(logit(0.5)), [0.0, 1.0], -math.log(0.5)),
     ]
-    total = sum(bce_loss(net, [p]) for net, p, _ in samples)
+    total = sum(bce_loss(net, [row]) for net, row, _ in samples)
     assert total == pytest.approx(sum(e for _, _, e in samples), rel=1e-12)
 
 
 def test_bce_vanishes_as_prediction_approaches_label():
-    assert bce_loss(force_logit(40.0), [LabeledPatch(np.zeros(1), 1.0)]) < 1e-12
-    assert bce_loss(force_logit(-40.0), [LabeledPatch(np.zeros(1), 0.0)]) < 1e-12
+    assert bce_loss(force_logit(40.0), [[0.0, 1.0]]) < 1e-12
+    assert bce_loss(force_logit(-40.0), [[0.0, 0.0]]) < 1e-12
+
+
+@pytest.mark.parametrize("label", [0.0, 0.3, 1.0])
+def test_bce_logaddexp_softplus_matches_clipped_form(label):
+    # the clipped form drops exp(-z) above 30, so there logaddexp is the more accurate one
+    for z in np.linspace(-40.0, 40.0, 321):
+        clipped = z if z > 30.0 else math.log1p(math.exp(z))
+        assert abs(bce_loss(force_logit(z), [[0.0, label]]) - (clipped - label * z)) <= 1e-13
 
 
 def test_bce_soft_labels_finite():
     net = RewardNet.create([1, 4, 1], seed=2)
-    loss = bce_loss(net, [LabeledPatch(np.array([0.5]), 0.3)])
+    loss = bce_loss(net, [[0.5, 0.3]])
     assert math.isfinite(loss)
 
 
 def test_bce_empty_dataset_error():
     net = RewardNet.create([1, 1], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty"):
+        bce_loss(net, np.empty((0, 2)))
+    with pytest.raises(ValueError, match="nonempty"):
         bce_loss(net, [])
 
 
 def test_duplicated_dataset_doubles_loss():
     net = RewardNet.create([1, 4, 1], seed=5)
     data = toy_dataset()
-    assert bce_loss(net, data + data) == pytest.approx(2.0 * bce_loss(net, data))
+    assert bce_loss(net, np.vstack([data, data])) == pytest.approx(2.0 * bce_loss(net, data))
 
 
 # ------------------------------------------------------------------- train
@@ -210,27 +224,23 @@ def test_training_deterministic_for_fixed_seed():
 def test_grad_check_default_layout():
     rng = np.random.default_rng(13)
     net = RewardNet.create(default_layout(4), seed=13)
-    data = [LabeledPatch(rng.uniform(0, 1, 4), float(rng.integers(0, 2)))
-            for _ in range(6)]
+    data = random_dataset(rng, 6, 4)
     assert grad_check(net, data) < 1e-4
 
 
 def test_grad_check_deep_layout():
     rng = np.random.default_rng(14)
     net = RewardNet.create(deep_layout(4), seed=14)
-    data = [LabeledPatch(rng.uniform(0, 1, 4), float(rng.integers(0, 2)))
-            for _ in range(4)]
+    data = random_dataset(rng, 4, 4)
     assert grad_check(net, data) < 1e-4
 
 
 def test_gradients_vanish_at_near_perfect_fit():
-    from gridseek.reward import _gradients, _stack
-
     net = RewardNet.create(default_layout(1), seed=15)
     data = toy_dataset()
     settled = train(net, data, epochs=3000, lr=0.1)
     assert bce_loss(settled, data) < 1e-3
-    X, y = _stack(settled, data)
+    X, y = _split(settled, data)
     grads_w, grads_b = _gradients(settled, X, y)
     worst = max(np.abs(g).max() for g in grads_w + grads_b)
     assert worst < 1e-3
@@ -239,17 +249,14 @@ def test_gradients_vanish_at_near_perfect_fit():
 def test_single_parameter_slope():
     net = RewardNet(weights=[np.array([[0.7]])], biases=[np.zeros(1)])
     net.biases[0].flags.writeable = True
-    data = [LabeledPatch(np.array([1.0]), 1.0)]
-    assert grad_check(net, data) < 1e-6
+    assert grad_check(net, [[1.0, 1.0]]) < 1e-6
 
 
 def test_duplicated_dataset_doubles_gradients():
-    from gridseek.reward import _gradients, _stack
-
     net = RewardNet.create([1, 4, 1], seed=16)
     data = toy_dataset()
-    X1, y1 = _stack(net, data)
-    X2, y2 = _stack(net, data + data)
+    X1, y1 = _split(net, data)
+    X2, y2 = _split(net, np.vstack([data, data]))
     g1 = _gradients(net, X1, y1)
     g2 = _gradients(net, X2, y2)
     for a, b in zip(g1[0], g2[0]):
@@ -274,10 +281,9 @@ def test_online_training_reaches_high_auc():
     values, labels = values[order], labels[order]
 
     net = RewardNet.create(default_layout(1), seed=17)
-    data = []
-    for v, l in zip(values[:50], labels[:50]):
-        data.append(LabeledPatch(np.array([v]), float(l)))
-        net = train(net, data, epochs=3, lr=0.01)
+    data = np.column_stack([values[:50], labels[:50]])
+    for t in range(1, 51):
+        net = train(net, data[:t], epochs=3, lr=0.01)
 
     held_v, held_l = values[50:], labels[50:]
     scores = predict(net, held_v[:, None])
@@ -296,8 +302,16 @@ def test_parameter_count_reproducible():
 
 
 def test_labeled_patch_validation():
-    with pytest.raises(ValueError):
-        LabeledPatch(np.zeros(1), 1.5)
+    """A labelled row needs a label in [0, 1] and one value per net input."""
+    net = RewardNet.create([2, 3, 1], seed=0)
+    for label in (1.5, -0.1, float("nan")):
+        for fn in (train, bce_loss, grad_check):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 1\]"):
+                fn(net, [[0.2, 0.4, 0.0], [0.1, 0.3, label]])
+    with pytest.raises(ValueError, match="patch dimension 3 does not match net input 2"):
+        train(net, [[0.2, 0.4, 0.6, 1.0]])
+    with pytest.raises(ValueError, match="nonempty"):
+        train(net, [0.2, 0.4, 1.0])  # one row needs its own axis
 
 
 def test_sigmoid_saturates_without_overflow_warning():
@@ -305,6 +319,19 @@ def test_sigmoid_saturates_without_overflow_warning():
         warnings.simplefilter("error")
         out = _sigmoid(np.array([-800.0, -0.0, 0.0, 800.0]))
     np.testing.assert_array_equal(out, [0.0, 0.5, 0.5, 1.0])
-    z = np.random.default_rng(4).normal(0.0, 30.0, 10_000)  # |z| < 709: no overflow below
-    both = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
-    assert np.array_equal(_sigmoid(z), both)
+
+
+def test_tanh_sigmoid_matches_exp_form():
+    z = np.linspace(-40.0, 40.0, 200_001)  # |z| < 709: neither exp below overflows
+    exp_form = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-z)), np.exp(z) / (1.0 + np.exp(z)))
+    assert np.max(np.abs(_sigmoid(z) - exp_form)) <= 4e-16
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, -5e-324, -1e-310, -np.finfo(float).tiny, 5e-324,
+                               1e-300, -1e-300, np.nan, np.inf, -np.inf])
+def test_activation_mask_equals_preactivation_mask(z):
+    # a one-input hidden layer with w = 1, b = 0 passes z through as its pre-activation
+    net = RewardNet([np.ones((1, 1)), np.ones((1, 1))], [np.zeros(1), np.zeros(1)])
+    pre = np.array([[z, -z, 1.0, -1.0]])
+    np.testing.assert_array_equal(_forward(net, pre)[1] > 0.0, pre > 0.0)
+

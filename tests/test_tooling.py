@@ -1,10 +1,16 @@
-"""The test suite's own settings: a failing property test is reported, not fatal."""
+"""The test suite's own settings, and the gate script in tools/."""
 
+import hashlib
+import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from gridseek import run_episode
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TOOLS = PYPROJECT.parent / "tools"
 
 FAILING_PAIR = '''
 from hypothesis import given, strategies as st
@@ -36,3 +42,36 @@ def test_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout, run.stdout
+
+
+def load_trace_hashes(monkeypatch):
+    """Import tools/trace_hashes.py; its path and BLAS-thread settings are undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    spec = importlib.util.spec_from_file_location("trace_hashes", TOOLS / "trace_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_hashes_plays_the_gate_groups_kind_major(monkeypatch):
+    tool = load_trace_hashes(monkeypatch)
+    groups = dict(tool.gate_groups())
+    assert list(groups) == ["default_6_policies_x_24_seeds", "exact_24_seeds", "wide32_seeds_1_3"]
+    kinds = ("diffatd", "max_ent", "greedy_adaptive", "random", "ucb", "eps_greedy")
+    default = groups["default_6_policies_x_24_seeds"]
+    assert [(label, seed) for label, _, seed in default] == [
+        (kind, seed) for kind in kinds for seed in range(1, 25)]
+    assert all(cfg.policy.kind == label for label, cfg, _ in default)
+    assert [(cfg.jacobian_mode, seed) for _, cfg, seed in groups["exact_24_seeds"]] == [
+        ("exact", seed) for seed in range(1, 25)]
+    assert [(cfg.scene.rows, seed) for _, cfg, seed in groups["wide32_seeds_1_3"]] == [
+        (32, 1), (32, 2), (32, 3)]
+
+    label, cfg, _ = default[0]
+    short = replace(cfg, budget=3)
+    digest, picks = tool.play([(label, short, 5), (label, short, 6)])
+    results = [run_episode(short, seed) for seed in (5, 6)]
+    assert digest == hashlib.sha256("".join(r.trace_csv() for r in results).encode()).hexdigest()
+    assert picks == [{"episode": f"diffatd/{r.seed}", "locations": [s.location for s in r.records],
+                      "y": [s.y for s in r.records], "r_total": r.r_total} for r in results]
