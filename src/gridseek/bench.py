@@ -438,8 +438,9 @@ def choose(policy: PolicyConfig, state: EpisodeState, batch: ParticleBatch,
     carries the kappa-weighted mix in ``combined``, with kappa at the state's
     spent budget unless the policy pins it.
     """
-    cands = list(state.candidates)
-    field = score_field(batch, cands, state.scene.all_location_cells()[cands], bcfg, reward_fn)
+    cands = state.candidates
+    field = score_field(batch, cands.tolist(), state.scene.all_location_cells()[cands], bcfg,
+                        reward_fn)
     k = policy.kappa_override
     if k is None:
         k = kappa(state.budget, state.t, policy.alpha)
@@ -562,7 +563,7 @@ def run_episode(cfg: ExperimentConfig, seed: int,
                 raise FloatingPointError(
                     f"particles went non-finite at tau={tau} (zeta={cfg.zeta})")
 
-            if tau in schedule_set and state.candidates:
+            if tau in schedule_set and state.t < scene.n_locations:
                 snapshot = ParticleBatch(to_unit(x_hat))
                 reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
                 location, field_now = choose(cfg.policy, state, snapshot, bcfg, reward_fn,

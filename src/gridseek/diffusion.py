@@ -55,6 +55,7 @@ __all__ = [
     "ancestral_step",
     "guidance_step",
 ]
+_TINY = np.finfo(float).tiny  # the smallest normal float64; _step_terms flushes rho_k below it
 
 
 class ScheduleError(ValueError):
@@ -313,7 +314,7 @@ def _step_terms(x: np.ndarray, tau, prior, sched) -> _StepTerms:
     """The responsibilities rho_k, evaluated once at (x, tau), and the score built from them."""
     terms, root, variances = _component_log_terms(x, tau, prior, sched)
     resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
-    resp[resp < np.finfo(float).tiny] = 0.0  # subnormal rho_k weigh nothing but slow the pulls
+    resp[resp < _TINY] = 0.0  # subnormal rho_k weigh nothing but slow the pulls
     resp /= resp.sum(axis=-1, keepdims=True)
     w = resp / variances
     return _StepTerms(w, root, variances, _weighted_pulls(w, root, prior.means, x))

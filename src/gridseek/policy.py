@@ -79,17 +79,16 @@ class PolicyConfig:
 class EpisodeState:
     """The episode's one record of what it has measured and revealed.
 
-    ``observed`` is an (N,) mask of revealed cells and ``values`` their
-    contents in sampler space (zero elsewhere), written by each ``apply``;
-    row t of the (budget, patch_area + 1) ``dataset`` holds query t's raw
-    contents, then its y: the reward net trains on ``dataset[:t]``.
+    ``observed`` is an (N,) mask of revealed cells and ``values`` their contents in sampler
+    space (zero elsewhere), both written by ``apply``; ``candidates`` reads the unrevealed
+    locations, ascending, off each one's first cell. Row t of the (budget, patch_area + 1)
+    ``dataset`` holds query t's raw contents, then its y: the reward net trains on ``dataset[:t]``.
     """
 
     scene: Scene
     budget: int
     observed: np.ndarray = field(init=False)
     values: np.ndarray = field(init=False)
-    candidates: list[int] = field(init=False)
     locations: list[int] = field(init=False)
     dataset: np.ndarray = field(init=False)
     r_total: float = field(init=False)
@@ -99,7 +98,6 @@ class EpisodeState:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         self.observed = np.zeros(self.scene.n_cells, dtype=bool)
         self.values = np.zeros(self.scene.n_cells)
-        self.candidates = list(range(self.scene.n_locations))
         self.dataset = np.zeros((self.budget, self.scene.block**2 + 1))
         self.locations, self.r_total = [], 0.0
 
@@ -107,23 +105,26 @@ class EpisodeState:
     def t(self) -> int:
         return len(self.locations)
 
+    @property
+    def candidates(self) -> np.ndarray:
+        return np.flatnonzero(~self.observed[self.scene.all_location_cells()[:, 0]])
+
     def apply(self, m: Measurement, engine_values: np.ndarray) -> None:
         """Book a measurement: spend budget, mark its cells revealed, grow the reward dataset.
 
-        ``engine_values`` are the revealed contents mapped into the sampler's
-        value space, one per cell; the raw contents feed the reward dataset.
-        A repeated location raises RepeatMeasurementError; a rejected call changes nothing.
+        ``engine_values`` are the revealed contents mapped into the sampler's value space,
+        one per cell; the raw contents feed the reward dataset. An out-of-range location
+        raises IndexError, a repeated one RepeatMeasurementError; a rejected call changes nothing.
         """
         if self.t >= self.budget:
             raise ValueError("budget exhausted")
-        if m.location not in self.candidates:
-            raise RepeatMeasurementError(f"location {m.location} already measured")
         cells = self.scene.location_cells(m.location)
+        if self.observed[cells[0]]:
+            raise RepeatMeasurementError(f"location {m.location} already measured")
         engine_values = np.asarray(engine_values, dtype=float).ravel()
         if engine_values.shape != cells.shape:
             raise ValueError("engine_values must hold one value per cell")
         self.dataset[self.t] = *np.ravel(m.content), m.y
-        self.candidates.remove(m.location)
         self.locations.append(m.location)
         self.observed[cells] = True
         self.values[cells] = engine_values
@@ -199,7 +200,7 @@ def select_from_field(
 
     ``diffatd`` reads the kappa mix that ``bench.choose`` left in ``field.combined``.
     """
-    cands = state.candidates
+    cands = state.candidates.tolist()
     if not cands:
         raise ExhaustedCandidatesError("candidate set is empty")
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField
+from gridseek.belief import BeliefConfig, ParticleBatch, ScoreField, score_field
 from gridseek.bench import choose
-from gridseek.env import RepeatMeasurementError, Scene, measure
+from gridseek.env import Measurement, RepeatMeasurementError, Scene, measure
 from gridseek.policy import (
     POLICY_KINDS,
     EpisodeState,
@@ -139,6 +139,12 @@ def fresh_state(budget=4):
     return EpisodeState(scene_4x4(), budget)
 
 
+def leave_candidates(state, locations):
+    """Reveal the cells of every location outside ``locations``, which stay the candidates."""
+    others = ~np.isin(np.arange(state.scene.n_locations), locations)
+    state.observed[state.scene.all_location_cells()[others]] = True
+
+
 def consensus_batch(dim=16):
     vals = np.tile(np.linspace(0, 1, dim), (2, 1))
     return ParticleBatch(vals)
@@ -152,7 +158,7 @@ def choose_in(state, cfg, batch, reward_fn=None, seed=0):
 def test_single_candidate_every_policy():
     for kind in POLICY_KINDS:
         state = fresh_state()
-        state.candidates = [7]
+        leave_candidates(state, [7])
         net = RewardNet.create(default_layout(1), seed=0)
         reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
         got, field = choose_in(state, PolicyConfig(kind=kind), consensus_batch(),
@@ -171,7 +177,7 @@ def test_max_ent_picks_unique_disagreement():
 
 def test_random_policy_matches_duplicate_rng_oracle():
     state = fresh_state()
-    state.candidates = [3, 5, 8, 12]
+    leave_candidates(state, [3, 5, 8, 12])
     for seed in range(10):
         got = select_from_field(PolicyConfig(kind="random"), state, None,
                                 np.random.default_rng(seed))
@@ -181,7 +187,7 @@ def test_random_policy_matches_duplicate_rng_oracle():
 
 def test_exhausted_candidates_error():
     state = fresh_state()
-    state.candidates = []
+    leave_candidates(state, [])
     with pytest.raises(ExhaustedCandidatesError):
         select_from_field(PolicyConfig(kind="random"), state, None,
                           np.random.default_rng(0))
@@ -189,7 +195,7 @@ def test_exhausted_candidates_error():
 
 def test_greedy_adaptive_follows_exploitation():
     state = fresh_state()
-    state.candidates = [0, 1]
+    leave_candidates(state, [0, 1])
     f = make_field(expl=[9.0, 0.0], exploit=[0.1, 8.0], locations=[0, 1])
     got = select_from_field(PolicyConfig(kind="greedy_adaptive"), state, f,
                             np.random.default_rng(0))
@@ -215,13 +221,13 @@ def spent_state():
     for loc in (2, 3, 4, 5):
         m = measure(state.scene, loc, rng)
         state.apply(m, m.content)
-    state.candidates = [0, 1]
+    leave_candidates(state, [0, 1])
     return state
 
 
 def test_diffatd_uses_kappa_schedule():
     state = fresh_state(budget=4)
-    state.candidates = [0, 1]
+    leave_candidates(state, [0, 1])
     cfg = PolicyConfig(kind="diffatd")
     # t=0 -> kappa=1 -> exploration argmax
     got, f = choose_in(state, cfg, split_batch(), patch_value)
@@ -249,7 +255,7 @@ def test_kappa_override_pins_mixing():
 
 def test_diffatd_needs_combined_score():
     state = fresh_state()
-    state.candidates = [0, 1]
+    leave_candidates(state, [0, 1])
     f = make_field(expl=[1.0, 0.0], exploit=[0.0, 1.0], locations=[0, 1])
     with pytest.raises(ValueError, match="combined"):
         select_from_field(PolicyConfig(kind="diffatd"), state, f,
@@ -258,7 +264,7 @@ def test_diffatd_needs_combined_score():
 
 def test_tie_break_lowest_index():
     state = fresh_state()
-    state.candidates = [2, 5, 9]
+    leave_candidates(state, [2, 5, 9])
     f = make_field(expl=[1.0, 1.0, 1.0], exploit=[0.0, 0.0, 0.0],
                    locations=[2, 5, 9])
     got = select_from_field(PolicyConfig(kind="max_ent"), state, f,
@@ -268,7 +274,7 @@ def test_tie_break_lowest_index():
 
 def test_tie_break_seeded_random_hits_tied_set():
     state = fresh_state()
-    state.candidates = [2, 5, 9]
+    leave_candidates(state, [2, 5, 9])
     f = make_field(expl=[1.0, 1.0, 0.0], exploit=[0.0, 0.0, 0.0],
                    locations=[2, 5, 9])
     cfg = PolicyConfig(kind="max_ent", tie_break="seeded_random")
@@ -360,7 +366,7 @@ def test_neighborhood_estimates_match_candidate_loop(data, rows, cols, block, dy
     state = EpisodeState(scene, budget=n_loc)
     state.locations = list(order[:n_measured])
     state.dataset[:n_measured, -1] = labels
-    state.candidates = candidates
+    leave_candidates(state, candidates)
     est, counts = _neighborhood_estimates(state)
     want_est, want_counts = neighborhood_by_loop(state)
     np.testing.assert_array_equal(counts, want_counts)
@@ -391,7 +397,7 @@ def test_state_tracks_budget_and_candidates():
 def test_state_derives_its_record_from_scene_and_budget():
     scene = scene_4x4()
     state = EpisodeState(scene, 2)
-    assert state.candidates == list(range(16)) and state.locations == []
+    assert state.candidates.tolist() == list(range(16)) and state.locations == []
     np.testing.assert_array_equal(state.dataset, np.zeros((2, 2)))  # budget rows of patch + y
     assert state.observed.shape == state.values.shape == (16,) and not state.observed.any()
     assert state.r_total == 0.0 and state.t == 0
@@ -405,7 +411,7 @@ def test_state_derives_its_record_from_scene_and_budget():
 
 def record_of(state):
     """A copy of everything ``apply`` may change."""
-    return (list(state.candidates), list(state.locations), state.r_total,
+    return (state.candidates.tolist(), list(state.locations), state.r_total,
             state.observed.copy(), state.values.copy(), state.dataset.copy())
 
 
@@ -479,9 +485,61 @@ def test_episode_state_record_fuzz(data, block, seed):
                 state.apply(m, engine)
             assert_record_equal(record_of(state), before)
         assert not set(state.candidates) & set(state.locations)
-        assert sorted(state.candidates + state.locations) == list(range(n_loc))
+        assert sorted(state.candidates.tolist() + state.locations) == list(range(n_loc))
+        unrevealed = [q for q in range(n_loc) if not observed[scene.location_cells(q)].any()]
+        assert state.candidates.tolist() == unrevealed
         assert state.t == len(state.locations) <= budget
         assert state.observed.dtype == bool and state.values.dtype == float
+
+
+def test_candidates_are_a_read_only_view_of_the_revealed_cells():
+    state = fresh_state()
+    with pytest.raises(AttributeError):
+        state.candidates = [7]
+    m = measure(state.scene, 3, np.random.default_rng(0))
+    state.apply(m, m.content)
+    assert state.candidates.tolist() == [q for q in range(16) if q != 3]
+    state.observed[9] = True  # revealing a location's cells is what removes it
+    assert 9 not in state.candidates.tolist() and state.candidates.size == 14
+
+
+def test_apply_checks_budget_then_range_then_repeat_then_values():
+    scene = Scene(grid=np.linspace(0.0, 1.0, 16), y=np.zeros(16), shape=(4, 4), block=2)
+    state = EpisodeState(scene, budget=2)
+    state.apply(measure(scene, 1, None), np.zeros(4))
+    before = record_of(state)
+    for location in (-1, 4, 9):
+        stray = Measurement(location, np.zeros((2, 2)), 0.0)
+        for values in (np.zeros(4), np.zeros(3)):  # the range is checked before the values
+            with pytest.raises(IndexError, match=r"outside 0\.\.3"):
+                state.apply(stray, values)
+            assert_record_equal(record_of(state), before)
+    with pytest.raises(RepeatMeasurementError, match="already measured"):
+        state.apply(measure(scene, 1, None), np.zeros(3))
+    assert_record_equal(record_of(state), before)
+    state.apply(measure(scene, 2, None), np.zeros(4))
+    before = record_of(state)
+    with pytest.raises(ValueError, match="budget exhausted"):
+        state.apply(Measurement(4, np.zeros((2, 2)), 0.0), np.zeros(3))
+    assert_record_equal(record_of(state), before)
+
+
+def test_choose_scores_exactly_the_unmeasured_locations():
+    grid = np.random.default_rng(3).uniform(0.0, 1.0, 36)
+    scene = Scene(grid=grid, y=(grid > 0.5).astype(float), shape=(6, 6), block=2)
+    state = EpisodeState(scene, budget=6)
+    rng = np.random.default_rng(4)
+    for q in (7, 0, 4):
+        m = measure(scene, q, rng)
+        state.apply(m, m.content)
+    batch = ParticleBatch(np.random.default_rng(5).uniform(0.0, 1.0, (4, 36)))
+    _, got = choose_in(state, PolicyConfig(kind="max_ent"), batch, patch_value)
+    unmeasured = [1, 2, 3, 5, 6, 8]
+    assert got.locations == unmeasured and all(type(q) is int for q in got.locations)
+    table = np.array([scene.location_cells(q) for q in unmeasured])
+    want = score_field(batch, unmeasured, table, BCFG, patch_value)
+    for name in ("exploration", "likelihood", "reward", "exploitation"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_dataset_row_t_holds_measurement_t_and_trains_like_a_copy():
@@ -509,7 +567,7 @@ def test_no_remeasurement_within_episode():
     rng = np.random.default_rng(1)
     picked = []
     cfg = PolicyConfig(kind="random")
-    while state.candidates:
+    while state.candidates.size:
         loc = select_from_field(cfg, state, None, rng)
         assert loc not in picked
         picked.append(loc)

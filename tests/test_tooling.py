@@ -1,6 +1,7 @@
 """The test suite's own settings, and the gate script in tools/."""
 
 import hashlib
+import json
 import importlib.util
 import subprocess
 import sys
@@ -75,3 +76,25 @@ def test_trace_hashes_plays_the_gate_groups_kind_major(monkeypatch):
     assert digest == hashlib.sha256("".join(r.trace_csv() for r in results).encode()).hexdigest()
     assert picks == [{"episode": f"diffatd/{r.seed}", "locations": [s.location for s in r.records],
                       "y": [s.y for s in r.records], "r_total": r.r_total} for r in results]
+
+
+def picks_file(path, sha, episodes):
+    """A hand-written --out file: one group of (episode, locations, y, r_total)."""
+    doc = {"default_6_policies_x_24_seeds": {"sha256": sha, "episodes": [
+        {"episode": name, "locations": locs, "y": ys, "r_total": total}
+        for name, locs, ys, total in episodes]}}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_trace_hashes_compare_reports_a_moved_pick(monkeypatch, tmp_path, capsys):
+    tool = load_trace_hashes(monkeypatch)
+    kept, ys = ("diffatd/1", [3, 7], [0.5, 0.0], 0.5), [0.0, 1.0, 0.25]
+    parent = picks_file(tmp_path / "parent.json", "aa", [kept, ("diffatd/2", [1, 4, 9], ys, 1.25)])
+    tip = picks_file(tmp_path / "tip.json", "bb", [kept, ("diffatd/2", [1, 5, 9], ys, 1.25)])
+    assert tool.main(["--compare", parent, tip]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "default_6_policies_x_24_seeds digest differs", "  diffatd/2 moved at t=2"]
+
+    assert tool.main(["--compare", parent, parent]) == 0
+    assert capsys.readouterr().out.splitlines() == ["default_6_policies_x_24_seeds digest same"]

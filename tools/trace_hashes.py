@@ -14,9 +14,16 @@ concatenated ``trace_csv()`` of its episodes in order:
 - ``wide32_seeds_1_3``: seeds 1-3 of perfbench's ``wide32`` config.
 
 ``--out`` receives each episode's locations, y and r_total. Run the script in
-two trees and diff the two files to see whether any pick moved. The digests
-depend on the CPU and the BLAS build, so they compare trees on one machine
-only. BLAS runs on one thread, as in perfbench.
+two trees, then compare the two files:
+
+    python3 tools/trace_hashes.py --compare PARENT.json TIP.json
+
+prints, per group, whether the digests match, and each episode whose
+locations, y or r_total differ with the first measurement t at which they
+do (one past its last when only r_total differs). It exits 1 if any pick
+moved and 0 otherwise. The digests depend on the CPU and the BLAS build, so
+they compare trees on one machine only. BLAS runs on one thread, as in
+perfbench.
 """
 
 from __future__ import annotations
@@ -65,11 +72,39 @@ def play(episodes):
     return digest.hexdigest(), picks
 
 
+def first_difference(a, b) -> int:
+    """The first measurement t (from 1) whose location or y differs between two episodes."""
+    steps_a, steps_b = (list(zip(e["locations"], e["y"])) for e in (a, b))
+    return next((t for t, (p, q) in enumerate(zip(steps_a, steps_b), 1) if p != q),
+                min(len(steps_a), len(steps_b)) + 1)
+
+
+def compare(parent: dict, tip: dict) -> int:
+    """Print each group's digest match and each episode whose picks moved; 1 if any did."""
+    moved = False
+    for name, old in parent.items():
+        new = tip.get(name, {"sha256": None, "episodes": []})
+        print(f"{name} digest {'same' if new['sha256'] == old['sha256'] else 'differs'}")
+        if len(new["episodes"]) != len(old["episodes"]):
+            print(f"  {len(old['episodes'])} episodes against {len(new['episodes'])}")
+            moved = True
+        for a, b in zip(old["episodes"], new["episodes"]):
+            if a != b:
+                print(f"  {a['episode']} moved at t={first_difference(a, b)}")
+                moved = True
+    return int(moved)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True,
-                        help="JSON file for each episode's locations, y and r_total")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path,
+                      help="JSON file for each episode's locations, y and r_total")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("PARENT", "TIP"),
+                      help="two --out files to compare")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*(json.loads(path.read_text()) for path in args.compare))
     report = {}
     for name, episodes in gate_groups():
         digest, picks = play(episodes)
