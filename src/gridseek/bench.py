@@ -432,11 +432,11 @@ class EpisodeResult:
 
 def choose(policy: PolicyConfig, state: EpisodeState, batch: ParticleBatch,
            bcfg: BeliefConfig, reward_fn, rng: np.random.Generator) -> tuple[int, ScoreField]:
-    """One query step: score every candidate, mix, and pick the next location.
+    """One query step: score every candidate, mix, and pick the next location's row.
 
-    The candidates' cells come from the state's scene. The returned field
-    carries the kappa-weighted mix in ``combined``, with kappa at the state's
-    spent budget unless the policy pins it.
+    The field's ``locations`` are the state's candidates, read once, with their cells
+    from the state's scene, so the pick is ``field.locations[row]``. ``combined`` holds
+    the kappa mix, kappa at the state's spent budget unless the policy pins it.
     """
     cands = state.candidates
     field = score_field(batch, cands.tolist(), state.scene.all_location_cells()[cands], bcfg,
@@ -566,18 +566,16 @@ def run_episode(cfg: ExperimentConfig, seed: int,
             if tau in schedule_set and state.t < scene.n_locations:
                 snapshot = ParticleBatch(to_unit(x_hat))
                 reward_fn = lambda patches: predict(net, np.clip(patches, 0.0, 1.0))
-                location, field_now = choose(cfg.policy, state, snapshot, bcfg, reward_fn,
-                                             policy_rng)
+                row, field_now = choose(cfg.policy, state, snapshot, bcfg, reward_fn, policy_rng)
                 if not np.isfinite(field_now.reward).all():
                     raise FloatingPointError(f"reward net went non-finite at t={state.t + 1}"
                                              f" (reward.lr={cfg.reward.lr})")
                 if field_sink is not None:
                     field_sink(state.t, tau, field_now)
-                picked = field_now.locations.index(location)
-                m = measure(scene, location, noise_rng)
+                m = measure(scene, field_now.locations[row], noise_rng)
                 state.apply(m, to_engine(m.content))
                 net = train(net, state.dataset[:state.t], cfg.reward.epochs, cfg.reward.lr)
-                records.append(StepRecord(state.t, tau, *field_now.row(picked), m.y,
+                records.append(StepRecord(state.t, tau, *field_now.row(row), m.y,
                                           marginal_entropy(snapshot, bcfg)))
     wall = time.perf_counter() - start
 

@@ -283,7 +283,7 @@ def _component_log_terms(x: np.ndarray, tau, prior, sched):
     sched._check_tau(tau)
     abar = sched.alpha_bar[tau - 1]
     root, variances = math.sqrt(abar), abar * prior.variances + (1.0 - abar)
-    sq = (np.sum(x * x, axis=-1, keepdims=True) - (2.0 * root) * (x @ prior.means.T)
+    sq = ((x * x).sum(axis=-1, keepdims=True) - (2.0 * root) * (x @ prior.means.T)
           + abar * prior.mean_sq_norms)  # (..., K)
     np.maximum(sq, 0.0, out=sq)  # rounding may leave a near-zero distance below 0
     n = prior.dimension
@@ -298,7 +298,7 @@ def _component_log_terms(x: np.ndarray, tau, prior, sched):
 def _weighted_pulls(w: np.ndarray, root: float, means: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k w_k (m_k - x) with m_k = root mu_k, taken as (root w) @ mu - (sum_k w_k) x."""
     pulls = (root * w) @ means
-    pulls -= np.sum(w, axis=-1, keepdims=True) * x
+    pulls -= w.sum(axis=-1, keepdims=True) * x
     return pulls
 
 
@@ -323,11 +323,11 @@ def _step_terms(x: np.ndarray, tau, prior, sched) -> _StepTerms:
 def _step_hvp(terms: _StepTerms, x: np.ndarray, v: np.ndarray, prior) -> np.ndarray:
     """H(x) v from the terms ``_step_terms`` made at the same x; see ``gmm_score_hessian``."""
     w, root, variances, score = terms
-    pv = (root * (v @ prior.means.T) - np.sum(x * v, axis=-1, keepdims=True)) / variances  # p_k . v
+    pv = (root * (v @ prior.means.T) - (x * v).sum(axis=-1, keepdims=True)) / variances  # p_k . v
     out = _weighted_pulls(w * pv, root, prior.means, x)
-    part = np.multiply(np.sum(w, axis=-1, keepdims=True), v)
+    part = np.multiply(w.sum(axis=-1, keepdims=True), v)
     out -= part
-    out -= np.multiply(np.sum(score * v, axis=-1, keepdims=True), score, out=part)
+    out -= np.multiply((score * v).sum(axis=-1, keepdims=True), score, out=part)
     return out
 
 

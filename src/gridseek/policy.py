@@ -174,11 +174,11 @@ def _argmax_with_ties(values: np.ndarray, tie_break: str, rng) -> int:
     return int(tied[rng.integers(tied.size)]) if tied.size > 1 else best
 
 
-def _neighborhood_estimates(state: EpisodeState):
-    """Optimistic pseudo-count mean of observed y around each candidate.
+def _neighborhood_estimates(state: EpisodeState, locations):
+    """Optimistic pseudo-count mean of observed y around each of ``locations``.
 
     The measured-y and count maps are summed over each 3x3 neighbourhood
-    (nine shifted slices of the zero-padded maps) and read at the candidates.
+    (nine shifted slices of the zero-padded maps) and read at ``locations``.
     """
     rows, cols = state.scene.location_shape
     maps = np.zeros((2, rows * cols))
@@ -186,7 +186,7 @@ def _neighborhood_estimates(state: EpisodeState):
     maps[1, state.locations] = 1.0
     padded = np.pad(maps.reshape(2, rows, cols), ((0, 0), (1, 1), (1, 1)))
     sums = sum(padded[:, i:i + rows, j:j + cols] for i in range(3) for j in range(3))
-    y_sum, counts = sums.reshape(2, -1)[:, state.candidates]
+    y_sum, counts = sums.reshape(2, -1)[:, locations]
     return (1.0 + y_sum) / (1.0 + counts), counts.astype(int)
 
 
@@ -196,28 +196,30 @@ def select_from_field(
     field: ScoreField | None,
     rng: np.random.Generator,
 ) -> int:
-    """Pick the next location given precomputed scores over the candidates.
+    """The row of the next location among ``field.locations``, the candidates it scores.
 
     ``diffatd`` reads the kappa mix that ``bench.choose`` left in ``field.combined``.
+    A belief-blind kind may get no field; its row then indexes ``state.candidates``.
     """
-    cands = state.candidates.tolist()
-    if not cands:
+    locations = state.candidates if field is None else field.locations
+    n = len(locations)
+    if not n:
         raise ExhaustedCandidatesError("candidate set is empty")
 
     if cfg.kind == "random":
-        return cands[int(rng.integers(len(cands)))]
+        return int(rng.integers(n))
 
     if cfg.kind in ("ucb", "eps_greedy"):
-        est, counts = _neighborhood_estimates(state)
+        est, counts = _neighborhood_estimates(state, locations)
         if cfg.kind == "ucb":
             bonus = cfg.ucb_c * np.sqrt(math.log(state.t + 1.0) / (counts + 1.0))
-            return cands[_argmax_with_ties(est + bonus, cfg.tie_break, rng)]
+            return _argmax_with_ties(est + bonus, cfg.tie_break, rng)
         if rng.random() < cfg.epsilon:
-            return cands[int(rng.integers(len(cands)))]
-        return cands[_argmax_with_ties(est, cfg.tie_break, rng)]
+            return int(rng.integers(n))
+        return _argmax_with_ties(est, cfg.tie_break, rng)
 
-    if field is None or list(field.locations) != list(cands):
-        raise ValueError("score field must cover exactly the candidate set")
+    if field is None:
+        raise ValueError(f"{cfg.kind} needs a score field")
     if cfg.kind == "max_ent":
         values = field.exploration
     elif cfg.kind == "greedy_adaptive":
@@ -226,7 +228,7 @@ def select_from_field(
         raise ValueError("diffatd needs the field's combined score")
     else:
         values = field.combined
-    return cands[_argmax_with_ties(values, cfg.tie_break, rng)]
+    return _argmax_with_ties(values, cfg.tie_break, rng)
 
 
 def build_measurement_schedule(T: int, B: int) -> frozenset[int]:

@@ -38,7 +38,7 @@ from gridseek.bench import (
     write_suite_csv,
 )
 from gridseek.env import load_scene
-from gridseek.policy import POLICY_KINDS, PolicyConfig
+from gridseek.policy import POLICY_KINDS, EpisodeState, PolicyConfig
 
 
 def tiny_cfg(**overrides):
@@ -640,6 +640,18 @@ def test_exact_episode_evaluates_the_mixture_once_per_reverse_step(monkeypatch):
     run_episode(cfg, 7)
     assert calls["products"] > 100  # guided from the first measurement on
     assert calls["log_terms"] == cfg.schedule.steps
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_episode_reads_the_candidates_once_per_measurement(kind, monkeypatch):
+    """``choose`` derives the candidate set; the pick and its record read the field it built."""
+    reads, derive = [], EpisodeState.candidates.fget
+    monkeypatch.setattr(EpisodeState, "candidates", property(
+        lambda state: reads.append(state.t) or derive(state)))
+    cfg = tiny_cfg(policy=PolicyConfig(kind=kind), budget=40, schedule=ScheduleSpec(steps=40))
+    res = run_episode(cfg, seed=3)
+    assert len(res.records) == 36  # every location, then the candidates run out
+    assert reads == list(range(36))
 
 
 @pytest.mark.parametrize("make, key", [

@@ -503,27 +503,32 @@ def test_episode_step_allocates_a_few_particle_arrays(mode, arrays):
     assert peak <= arrays * x.nbytes, f"peak {peak / x.nbytes:.2f} (n_b, N) arrays"
 
 
-def one_component_affine_step(x, tau, observed, values, mu, v, zeta, mode, sched):
-    """x <- A_tau x + b_tau per cell: the guided reverse step of a K = 1 prior at z = 0.
+def one_component_affine_step(x, tau, z, observed, values, mu, v, zeta, mode, sched):
+    """x <- A_tau x + b_tau + sigma_tilde_tau z per cell: the guided reverse step of a K = 1 prior.
 
     With s = abar v + 1 - abar the denoised mean is xhat = sqrt(abar) v / s x + (1 - abar) / s mu,
     so off the observed cells A_tau = c_x + c_xhat sqrt(abar) v / s. On them guidance subtracts
     (2 zeta / sqrt(abar)) (xhat - y), times the Jacobian factor abar v / s in ``exact`` mode
-    (H = -I / s), which takes 2 zeta v / s or 2 zeta abar v^2 / s^2 off A_tau.
+    (H = -I / s), which takes 2 zeta v / s or 2 zeta abar v^2 / s^2 off A_tau. Guidance reads
+    xhat, the mean before the noise, so the noise term is sigma_tilde_tau z on every cell.
     """
     abar, abar_prev = sched.alpha_bar[tau - 1], sched.alpha_bar_at(tau - 1)
     coef_x = math.sqrt(sched.alpha[tau - 1]) * (1.0 - abar_prev) / (1.0 - abar)
     coef_hat = math.sqrt(abar_prev) * sched.beta[tau - 1] / (1.0 - abar)
     s = abar * v + 1.0 - abar
     x_hat = math.sqrt(abar) * v / s * x + (1.0 - abar) / s * mu
-    out = coef_x * x + coef_hat * x_hat
+    out = coef_x * x + coef_hat * x_hat + sched.sigma_tilde[tau - 1] * z
     gain = 2.0 * zeta / math.sqrt(abar) * (1.0 if mode == "scaled-identity" else abar * v / s)
     return np.where(observed, out - gain * (x_hat - values), out)
 
 
 @pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
 def test_one_component_trajectory_follows_the_affine_recursion(mode):
-    """200 guided steps of a blob-variance K = 1 prior stay within 1e-12 of the scalar recursion."""
+    """200 guided steps of a blob-variance K = 1 prior stay within 1e-12 of the scalar recursion.
+
+    Four particles start at distinct states and take one fixed nonzero z at every step, so
+    every cell carries the noise term sigma_tilde_tau z as well as A_tau x + b_tau.
+    """
     prior = make_blob_prior((8, 8), n_components=1).affine(2.0, -1.0)
     mu, v = prior.means[0], prior.variances[0]
     assert v == pytest.approx(0.0064)
@@ -533,11 +538,11 @@ def test_one_component_trajectory_follows_the_affine_recursion(mode):
     observed = np.zeros(n, dtype=bool)
     observed[rng.permutation(n)[:16]] = True
     values = np.where(observed, rng.uniform(-1.0, 1.0, n), 0.0)
-    want = rng.standard_normal(n)
-    x, z = np.tile(want, (4, 1)), np.zeros((4, n))
+    want, z = rng.standard_normal((2, 4, n))
+    x = want.copy()
     for tau in range(sched.T, 0, -1):
         x, _ = reverse_step(x, tau, z, observed, values, prior, cfg, sched)
-        want = one_component_affine_step(want, tau, observed, values, mu, v, 1.0, mode, sched)
+        want = one_component_affine_step(want, tau, z, observed, values, mu, v, 1.0, mode, sched)
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), tau
 
 

@@ -151,8 +151,9 @@ def consensus_batch(dim=16):
 
 
 def choose_in(state, cfg, batch, reward_fn=None, seed=0):
-    """The episode's query step on ``state``."""
-    return choose(cfg, state, batch, BCFG, reward_fn, np.random.default_rng(seed))
+    """The episode's query step on ``state``: the picked location and the field."""
+    row, field = choose(cfg, state, batch, BCFG, reward_fn, np.random.default_rng(seed))
+    return field.locations[row], field
 
 
 def test_single_candidate_every_policy():
@@ -179,8 +180,8 @@ def test_random_policy_matches_duplicate_rng_oracle():
     state = fresh_state()
     leave_candidates(state, [3, 5, 8, 12])
     for seed in range(10):
-        got = select_from_field(PolicyConfig(kind="random"), state, None,
-                                np.random.default_rng(seed))
+        got = state.candidates[select_from_field(PolicyConfig(kind="random"), state, None,
+                                                 np.random.default_rng(seed))]
         oracle = state.candidates[int(np.random.default_rng(seed).integers(4))]
         assert got == oracle
 
@@ -197,8 +198,8 @@ def test_greedy_adaptive_follows_exploitation():
     state = fresh_state()
     leave_candidates(state, [0, 1])
     f = make_field(expl=[9.0, 0.0], exploit=[0.1, 8.0], locations=[0, 1])
-    got = select_from_field(PolicyConfig(kind="greedy_adaptive"), state, f,
-                            np.random.default_rng(0))
+    got = f.locations[select_from_field(PolicyConfig(kind="greedy_adaptive"), state, f,
+                                        np.random.default_rng(0))]
     assert got == 1
 
 
@@ -267,8 +268,8 @@ def test_tie_break_lowest_index():
     leave_candidates(state, [2, 5, 9])
     f = make_field(expl=[1.0, 1.0, 1.0], exploit=[0.0, 0.0, 0.0],
                    locations=[2, 5, 9])
-    got = select_from_field(PolicyConfig(kind="max_ent"), state, f,
-                            np.random.default_rng(0))
+    got = f.locations[select_from_field(PolicyConfig(kind="max_ent"), state, f,
+                                        np.random.default_rng(0))]
     assert got == 2
 
 
@@ -279,7 +280,7 @@ def test_tie_break_seeded_random_hits_tied_set():
                    locations=[2, 5, 9])
     cfg = PolicyConfig(kind="max_ent", tie_break="seeded_random")
     seen = {
-        select_from_field(cfg, state, f, np.random.default_rng(s))
+        f.locations[select_from_field(cfg, state, f, np.random.default_rng(s))]
         for s in range(30)
     }
     assert seen == {2, 5}
@@ -301,7 +302,7 @@ def test_ucb_prefers_rewarding_neighborhood():
     state = strip_state()
     # candidate 1 sees only y=0, candidate 2 sees only y=1
     cfg = PolicyConfig(kind="ucb", ucb_c=0.1)
-    got = select_from_field(cfg, state, None, np.random.default_rng(1))
+    got = state.candidates[select_from_field(cfg, state, None, np.random.default_rng(1))]
     assert got == 2
 
 
@@ -311,7 +312,7 @@ def test_ucb_bonus_draws_unvisited_regions():
     m = measure(state.scene, 15, rng)
     state.apply(m, m.content)
     cfg = PolicyConfig(kind="ucb", ucb_c=100.0)
-    got = select_from_field(cfg, state, None, np.random.default_rng(1))
+    got = state.candidates[select_from_field(cfg, state, None, np.random.default_rng(1))]
     # with a huge bonus the pick must be outside the measured neighborhood
     assert got not in (10, 11, 14, 15)
 
@@ -319,7 +320,7 @@ def test_ucb_bonus_draws_unvisited_regions():
 def test_eps_greedy_exploits_when_epsilon_zero():
     state = strip_state()
     cfg = PolicyConfig(kind="eps_greedy", epsilon=0.0)
-    got = select_from_field(cfg, state, None, np.random.default_rng(2))
+    got = state.candidates[select_from_field(cfg, state, None, np.random.default_rng(2))]
     assert got == 2
 
 
@@ -327,10 +328,32 @@ def test_eps_greedy_uniform_when_epsilon_one():
     state = fresh_state(budget=8)
     cfg = PolicyConfig(kind="eps_greedy", epsilon=1.0)
     seen = {
-        select_from_field(cfg, state, None, np.random.default_rng(s))
+        state.candidates[select_from_field(cfg, state, None, np.random.default_rng(s))]
         for s in range(60)
     }
     assert len(seen) > 8  # spread over the grid, not locked to one argmax
+
+
+def test_selection_with_a_field_picks_a_row_of_its_locations(monkeypatch):
+    """The field defines the candidates: each kind returns a row of its locations, in its order."""
+    state = strip_state()  # candidates 1 and 2; only 2 neighbours the y = 1 location
+    f = make_field(expl=[0.0, 5.0], exploit=[3.0, 0.0], locations=[2, 1])
+    f.combined = np.array([0.0, 1.0])
+    monkeypatch.setattr(EpisodeState, "candidates",
+                        property(lambda s: pytest.fail("selection read state.candidates")))
+    rows = {"diffatd": 1, "max_ent": 1, "greedy_adaptive": 0, "ucb": 0, "eps_greedy": 0}
+    for kind, row in rows.items():
+        cfg = PolicyConfig(kind=kind, ucb_c=0.1, epsilon=0.0)
+        assert select_from_field(cfg, state, f, np.random.default_rng(0)) == row, kind
+    for seed in range(10):
+        got = select_from_field(PolicyConfig(kind="random"), state, f, np.random.default_rng(seed))
+        assert got == np.random.default_rng(seed).integers(2)
+
+
+@pytest.mark.parametrize("kind", ["diffatd", "max_ent", "greedy_adaptive"])
+def test_belief_kinds_need_a_score_field(kind):
+    with pytest.raises(ValueError, match=f"{kind} needs a score field"):
+        select_from_field(PolicyConfig(kind=kind), fresh_state(), None, np.random.default_rng(0))
 
 
 def neighborhood_by_loop(state):
@@ -367,7 +390,7 @@ def test_neighborhood_estimates_match_candidate_loop(data, rows, cols, block, dy
     state.locations = list(order[:n_measured])
     state.dataset[:n_measured, -1] = labels
     leave_candidates(state, candidates)
-    est, counts = _neighborhood_estimates(state)
+    est, counts = _neighborhood_estimates(state, state.candidates)
     want_est, want_counts = neighborhood_by_loop(state)
     np.testing.assert_array_equal(counts, want_counts)
     if dyadic:
@@ -568,7 +591,7 @@ def test_no_remeasurement_within_episode():
     picked = []
     cfg = PolicyConfig(kind="random")
     while state.candidates.size:
-        loc = select_from_field(cfg, state, None, rng)
+        loc = int(state.candidates[select_from_field(cfg, state, None, rng)])
         assert loc not in picked
         picked.append(loc)
         m = measure(state.scene, loc, rng)

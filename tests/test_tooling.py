@@ -98,3 +98,14 @@ def test_trace_hashes_compare_reports_a_moved_pick(monkeypatch, tmp_path, capsys
 
     assert tool.main(["--compare", parent, parent]) == 0
     assert capsys.readouterr().out.splitlines() == ["default_6_policies_x_24_seeds digest same"]
+
+
+def test_ab_time_runs_the_repository_against_itself():
+    root = str(PYPROJECT.parent)
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "ab_time.py"), root, root, "--workload", "paper16",
+         "--seeds", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "identical traces on 2 of 2 units" in run.stdout, run.stdout
