@@ -32,6 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from gridseek.diffusion import as_float
+
 __all__ = [
     "ParticleBatch",
     "BeliefConfig",
@@ -49,12 +51,12 @@ class SizeLimitError(ValueError):
 
 @dataclass
 class ParticleBatch:
-    """One-step denoised means of the particles, shape (n_b, dim)."""
+    """One-step denoised means of the particles, shape (n_b, dim), float32 or float64."""
 
     denoised: np.ndarray
 
     def __post_init__(self):
-        self.denoised = np.asarray(self.denoised, dtype=float)
+        self.denoised = as_float(self.denoised)
         if self.denoised.ndim != 2:
             raise ValueError("denoised must have shape (n_b, dim)")
         if self.n_b < 2:
@@ -198,6 +200,7 @@ def score_field(
     away a small spread under a large common offset. Likelihood uses
     n_b + 2 sum_{i<j} exp(-d_ij), one particle i at a time over its
     (n_b - 1 - i, L) later pairs, so no (n_b, n_b, L, cells) array is formed.
+    Both run in the batch's float dtype; the reward column is float64.
     """
     coord_sets = np.asarray(coord_sets, dtype=int)
     if coord_sets.ndim != 2 or coord_sets.shape[0] != len(candidates):
@@ -211,9 +214,9 @@ def score_field(
     centred = vals - vals.mean(axis=0)
     expl = 2.0 * n_b * np.einsum("icl,icl->l", centred, centred) / two_s2
     # buffers for particle 0's n_b - 1 later pairs, reused for each later i
-    diff = np.empty((n_b - 1, cells, n_loc))
-    pair_sq = np.empty((n_b - 1, n_loc))
-    pair_sum = np.zeros(n_loc)
+    diff = np.empty((n_b - 1, cells, n_loc), dtype=vals.dtype)
+    pair_sq = np.empty((n_b - 1, n_loc), dtype=vals.dtype)
+    pair_sum = np.zeros(n_loc, dtype=vals.dtype)
     for i in range(n_b - 1):
         d = np.subtract(vals[i + 1:], vals[i], out=diff[: n_b - 1 - i])
         p = np.einsum("icl,icl->il", d, d, out=pair_sq[: n_b - 1 - i])

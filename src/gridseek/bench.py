@@ -42,6 +42,7 @@ from gridseek.diffusion import (
     _step_hvp,
     _step_terms,
     ancestral_step,
+    as_float,
     gmm_score,
     gmm_score_hessian,  # not called here; perfbench traces it by this name
     guidance_step,
@@ -152,7 +153,8 @@ def to_engine(values: np.ndarray) -> np.ndarray:
 
 
 def to_unit(values: np.ndarray) -> np.ndarray:
-    return (np.asarray(values, dtype=float) + 1.0) / 2.0
+    """Map sampler values back onto [0, 1], in their float dtype."""
+    return (as_float(values) + 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -470,13 +472,17 @@ def reverse_step(x, tau: int, z, observed, values, prior: GaussianMixturePrior,
     return guidance_step(x_prime, x_hat, observed, values, tau, gcfg, sched, hessian_fn), x_hat
 
 
-# Bytes in each noise buffer: 64 reverse steps at 16x16 with 8 particles, 8 at 32x32 with 16;
-# a step larger than this is drawn one at a time. Against 512 KiB, halving the worker's calls
-# (and so its GIL handoffs) ran wide32 episodes 4-5% faster on 2 CPUs.
+# Bytes of float64 noise drawn per chunk: 64 reverse steps at 16x16 with 8 particles, 8 at
+# 32x32 with 16; a step larger than this is drawn one at a time. Against 512 KiB, halving the
+# worker's calls (and so its GIL handoffs) ran wide32 episodes 4-5% faster on 2 CPUs.
 _NOISE_CHUNK_BYTES = 1024 * 1024
-# A step's noise of fewer bytes is drawn on the sampler's thread: at 16 KiB (16x16 with 8
-# particles) a worker saves too little to repay its thread and handoffs, from 32 KiB on it does.
-_NOISE_WORKER_STEP_BYTES = 32 * 1024
+# From this many bytes of float64 particle state per step (8 x particles x cells), an episode
+# draws its noise on a worker thread and holds its particles in float32. Below it, at 16 KiB
+# (16x16 with 8 particles), numpy's call overhead outweighs the memory traffic both save: a
+# worker saved too little to repay its thread and handoffs, and float32 took 1.017 (paper16)
+# and 0.996 (exact16) of float64 time while changing every trace. At 32 KiB (16x16 with 16
+# particles) float32 took 0.95-0.98 of float64 time, and at 128 KiB (wide32) 0.85-0.86.
+_LARGE_STEP_BYTES = 32 * 1024
 
 
 def _usable_cpus() -> int:
@@ -487,28 +493,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _particle_noise(rngs, dim: int, steps: int, pool: concurrent.futures.Executor | None):
+def _particle_noise(rngs, dim: int, steps: int, pool: concurrent.futures.Executor | None,
+                    dtype=np.float64):
     """Each of ``steps`` reverse steps' noise: an (n_b, dim) array, row i from ``rngs[i]``.
 
-    Row i is what ``rngs[i].standard_normal(out=row)`` gives step by step, since
-    each stream is read in the same order. The noise is drawn a chunk of steps
-    at a time. With a ``pool``, its one worker draws the next chunk into one
-    (n_b, chunk, dim) buffer while the caller reads the other, since NumPy's
-    generators release the GIL while they fill; the caller waits for a chunk
-    that is not drawn when it is due. Without one the caller draws every chunk.
+    Row i is what ``rngs[i].standard_normal(out=row)`` gives step by step, cast to
+    ``dtype``, since each stream is read in the same order. The noise is drawn a
+    chunk of steps at a time. With a ``pool``, its one worker draws the next chunk
+    into one (n_b, chunk, dim) slot while the caller reads the other, since NumPy's
+    generators release the GIL while they fill; the caller waits for a chunk that is
+    not drawn when it is due. Without one the caller draws every chunk. float32
+    noise is drawn into one float64 buffer and cast into slots of half its size, on
+    the worker when there is one, so the buffers keep the float64 slots' bytes.
     A yielded array is valid until the next one is asked for.
     """
     n_b = len(rngs)
     chunk = max(1, _NOISE_CHUNK_BYTES // (8 * n_b * dim))
     # allocated on the calling thread, so the worker opens no malloc arena of its own
-    buffers = [np.empty((n_b, chunk, dim)) for _ in range(1 if pool is None else 2)]
+    slots = [np.empty((n_b, chunk, dim), dtype) for _ in range(1 if pool is None else 2)]
+    drawn64 = None if dtype == np.float64 else np.empty((n_b, chunk, dim))
 
     def draw(first):
-        """Fill the chunk from step ``first`` on; its buffer's earlier steps were all yielded."""
-        buf = buffers[first // chunk % len(buffers)][:, :min(chunk, steps - first)]
+        """Fill the chunk from step ``first`` on; its slot's earlier steps were all yielded."""
+        n = min(chunk, steps - first)
+        slot = slots[first // chunk % len(slots)][:, :n]
+        buf = slot if drawn64 is None else drawn64[:, :n]
         for row, r in zip(buf, rngs):
             r.standard_normal(out=row)
-        return buf
+        if drawn64 is not None:
+            slot[...] = buf
+        return slot
 
     firsts = range(0, steps, chunk)
     if pool is None:
@@ -537,7 +551,12 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     particle_rngs = [np.random.default_rng(c) for c in children[4:]]
 
     prior_unit, scene = build_prior_and_scene(cfg, scene_generator(seed))
-    prior = prior_unit.affine(2.0, -1.0)
+    dim = scene.n_cells
+    # a large step holds its particles, xhat and their scores in float32; the reward net and
+    # its patches stay float64. The choice reads the config alone, never the CPU count.
+    large_step = 8 * cfg.particles * dim >= _LARGE_STEP_BYTES
+    dtype = np.float32 if large_step else np.float64
+    prior = prior_unit.affine(2.0, -1.0).astype(dtype)
     sched = cfg.schedule.build()
     gcfg = GuidanceConfig(zeta=cfg.zeta, jacobian_mode=cfg.jacobian_mode)
     bcfg = BeliefConfig(sigma_x2=cfg.sigma_x2)
@@ -547,15 +566,15 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     net = RewardNet.create([patch_area, *cfg.reward.hidden, 1], reward_seed)
     state = EpisodeState(scene, cfg.budget)
 
-    dim = scene.n_cells
-    particles = np.stack([r.standard_normal(dim) for r in particle_rngs])  # before any noise
+    # drawn in float64 before any noise, so each stream is the same in either dtype
+    particles = np.stack([r.standard_normal(dim) for r in particle_rngs]).astype(dtype, copy=False)
     records: list[StepRecord] = []
 
     start = time.perf_counter()
     # a worker only helps with a CPU of its own and a step large enough to repay its handoffs
-    use_worker = 8 * cfg.particles * dim >= _NOISE_WORKER_STEP_BYTES and _usable_cpus() > 1
+    use_worker = large_step and _usable_cpus() > 1
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:  # no thread until a submit
-        noise = _particle_noise(particle_rngs, dim, sched.T, pool if use_worker else None)
+        noise = _particle_noise(particle_rngs, dim, sched.T, pool if use_worker else None, dtype)
         for tau, z in zip(range(sched.T, 0, -1), noise):
             particles, x_hat = reverse_step(particles, tau, z, state.observed, state.values,
                                             prior, gcfg, sched)

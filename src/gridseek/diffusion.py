@@ -24,6 +24,11 @@ score given, denoising makes one (..., N) array, the ancestral step two and
 ``scaled-identity`` guidance one, computing on the observed columns only.
 Each gives the same bits as its plain one-expression form.
 
+Every kernel computes in its state's float dtype: a float32 state and a
+prior cast by ``GaussianMixturePrior.astype`` give float32 results, and any
+other state is read as float64. So the step constants are read as Python
+floats, which NumPy 2 does not let widen a float32 array.
+
 Stability note on guidance: in ``scaled-identity`` mode the residual gradient
 carries a 1/sqrt(abar_tau) factor, which grows as abar_tau falls. On the linear
 beta 1e-4..0.02 schedule abar_T is 0.132 at the default T=200, 0.0064 at T=500
@@ -55,7 +60,9 @@ __all__ = [
     "ancestral_step",
     "guidance_step",
 ]
-_TINY = np.finfo(float).tiny  # the smallest normal float64; _step_terms flushes rho_k below it
+_FLOAT32 = np.dtype(np.float32)
+# the smallest normal number of each state dtype; _step_terms flushes rho_k below it
+_TINY = {np.dtype(t): np.finfo(t).tiny for t in (np.float32, np.float64)}
 
 
 class ScheduleError(ValueError):
@@ -104,7 +111,7 @@ class NoiseSchedule:
     def alpha_bar_at(self, tau: int) -> float:
         if tau == 0:
             return 1.0
-        return float(self.alpha_bar[tau - 1])
+        return self.alpha_bar.item(tau - 1)
 
     def _check_tau(self, tau: int) -> None:
         if not 1 <= tau <= self.T:
@@ -174,6 +181,21 @@ class GaussianMixturePrior:
         norms = np.sum(self.means * self.means, axis=1)
         norms.flags.writeable = False
         return norms
+
+    def astype(self, dtype) -> "GaussianMixturePrior":
+        """This prior with its means, variances and ||mu_k||^2 cast to ``dtype``.
+
+        ||mu_k||^2 is cast from the float64 norms, and the weights stay float64, so
+        their sum-to-1 check reads the same numbers.
+        """
+        if self.means.dtype == dtype:
+            return self
+        cast = GaussianMixturePrior(self.weights, self.means.astype(dtype),
+                                    self.variances.astype(dtype))
+        norms = self.mean_sq_norms.astype(dtype)
+        norms.flags.writeable = False
+        cast.__dict__["mean_sq_norms"] = norms  # the cached_property's slot
+        return cast
 
     @property
     def n_components(self) -> int:
@@ -281,7 +303,7 @@ def _component_log_terms(x: np.ndarray, tau, prior, sched):
     ||mu_k||^2. Neither a (..., K, N) difference tensor nor the m_k are formed.
     """
     sched._check_tau(tau)
-    abar = sched.alpha_bar[tau - 1]
+    abar = sched.alpha_bar.item(tau - 1)
     root, variances = math.sqrt(abar), abar * prior.variances + (1.0 - abar)
     sq = ((x * x).sum(axis=-1, keepdims=True) - (2.0 * root) * (x @ prior.means.T)
           + abar * prior.mean_sq_norms)  # (..., K)
@@ -311,12 +333,17 @@ class _StepTerms(NamedTuple):
 
 
 def _step_terms(x: np.ndarray, tau, prior, sched) -> _StepTerms:
-    """The responsibilities rho_k, evaluated once at (x, tau), and the score built from them."""
+    """The responsibilities rho_k, evaluated once at (x, tau), and the score built from them.
+
+    The log terms carry the float64 weights, so rho_k is float64; w is cast to x's
+    dtype once, before the pulls product, and rho_k below that dtype's smallest
+    normal number are flushed first.
+    """
     terms, root, variances = _component_log_terms(x, tau, prior, sched)
     resp = np.exp(terms - terms.max(axis=-1, keepdims=True))
-    resp[resp < _TINY] = 0.0  # subnormal rho_k weigh nothing but slow the pulls
+    resp[resp < _TINY[x.dtype]] = 0.0  # subnormal rho_k weigh nothing but slow the pulls
     resp /= resp.sum(axis=-1, keepdims=True)
-    w = resp / variances
+    w = (resp / variances).astype(x.dtype, copy=False)
     return _StepTerms(w, root, variances, _weighted_pulls(w, root, prior.means, x))
 
 
@@ -367,8 +394,13 @@ def gmm_score_hessian(x, tau: int, prior: GaussianMixturePrior,
     return _step_hvp(_step_terms(x, tau, prior, sched), x, v, prior)
 
 
+def as_float(x) -> np.ndarray:
+    """``x`` as a float array: float32 stays float32, anything else is read as float64."""
+    return x if getattr(x, "dtype", None) is _FLOAT32 else np.asarray(x, dtype=float)
+
+
 def _check_state(x, prior: GaussianMixturePrior) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = as_float(x)
     if x.shape[-1] != prior.dimension:
         raise ValueError(
             f"state dimension {x.shape[-1]} does not match prior dimension "
@@ -380,8 +412,8 @@ def _check_state(x, prior: GaussianMixturePrior) -> np.ndarray:
 def tweedie_denoise(x_tau, tau: int, score_fn, sched: NoiseSchedule) -> np.ndarray:
     """One-step denoised mean: (x_tau + (1 - abar) score(x_tau, tau)) / sqrt(abar)."""
     sched._check_tau(tau)
-    x_tau = np.asarray(x_tau, dtype=float)
-    abar = sched.alpha_bar[tau - 1]
+    x_tau = as_float(x_tau)
+    abar = sched.alpha_bar.item(tau - 1)
     x_hat = (1.0 - abar) * score_fn(x_tau, tau)
     x_hat += x_tau
     x_hat /= math.sqrt(abar)
@@ -395,16 +427,16 @@ def ancestral_step(x_tau, x_hat, tau: int, z, sched: NoiseSchedule) -> np.ndarra
     output and one scratch array, so the three arrays share one shape.
     """
     sched._check_tau(tau)
-    abar = sched.alpha_bar[tau - 1]
+    abar = sched.alpha_bar.item(tau - 1)
     abar_prev = sched.alpha_bar_at(tau - 1)
-    beta = sched.beta[tau - 1]
-    alpha = sched.alpha[tau - 1]
+    beta = sched.beta.item(tau - 1)
+    alpha = sched.alpha.item(tau - 1)
     coef_x = math.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
     coef_hat = math.sqrt(abar_prev) * beta / (1.0 - abar)
-    out = coef_x * np.asarray(x_tau, dtype=float)
-    part = coef_hat * np.asarray(x_hat, dtype=float)
+    out = coef_x * as_float(x_tau)
+    part = coef_hat * as_float(x_hat)
     out += part
-    out += np.multiply(sched.sigma_tilde[tau - 1], z, out=part)
+    out += np.multiply(sched.sigma_tilde.item(tau - 1), z, out=part)
     return out
 
 
@@ -430,7 +462,7 @@ def guidance_step(
     x_tau; ``observed`` is an (N,) mask of revealed cells and
     ``observed_values`` an (N,) array of their contents in sampler space.
     """
-    x_prime = np.asarray(x_prime, dtype=float)
+    x_prime = as_float(x_prime)
     n = x_prime.shape[-1]
     if observed.shape != (n,) or observed_values.shape != (n,):
         raise ValueError(f"observed mask and values must have shape ({n},)")
@@ -438,16 +470,16 @@ def guidance_step(
         return x_prime
     sched._check_tau(tau)
 
-    abar = sched.alpha_bar[tau - 1]
+    abar = sched.alpha_bar.item(tau - 1)
     obs = np.flatnonzero(observed)
-    residual_obs = np.asarray(x_hat, dtype=float)[..., obs] - observed_values[obs]
+    residual_obs = as_float(x_hat)[..., obs] - observed_values[obs]
     if cfg.jacobian_mode == "scaled-identity":  # the gradient is zero off the observed columns
         out = x_prime.copy()
         out[..., obs] -= cfg.zeta * ((2.0 / math.sqrt(abar)) * residual_obs)
         return out
     if hessian_fn is None:
         raise ValueError("exact guidance requires a hessian_fn")
-    residual = np.zeros(residual_obs.shape[:-1] + (n,))
+    residual = np.zeros(residual_obs.shape[:-1] + (n,), dtype=x_prime.dtype)
     residual[..., obs] = residual_obs
     grad = (1.0 - abar) * hessian_fn(residual)
     grad += residual

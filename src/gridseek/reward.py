@@ -107,15 +107,22 @@ def _logits(net: RewardNet, X: np.ndarray) -> np.ndarray:
     """The (n,) output logits of ``_forward`` on the rows of ``X``, in column blocks.
 
     Blocks start at multiples of PREDICT_BLOCK, so each row keeps its place
-    in the BLAS kernels' column groups, and a lone last column joins the
-    block before it, because numpy multiplies a one-column matrix through
-    another BLAS routine whose rounding differs. So the logits are
-    bit-identical to one ``_forward`` over all rows.
+    in the BLAS kernels' column groups, and a last block of fewer than four
+    columns joins the block before it: numpy sends a one-column product to
+    another BLAS routine, and OpenBLAS rounds two or three columns apart from
+    a wider product. So with two or more BLAS threads the logits are
+    bit-identical to one ``_forward`` over all rows. With one thread they may
+    not be (measured on OpenBLAS 0.3.31's Haswell kernels): a product of at
+    most 100^3 multiply-adds then takes a small-matrix kernel that rounds its
+    last N mod 8 columns apart, and a block stays that small where the whole
+    product may not (from 1,954 rows for the deep layout's 32 -> 16 layer).
+    Episodes score locations x particles rows, a multiple of 8 at every
+    shipped size.
     """
     n = X.shape[0]
     out = np.empty(n)
     H = X.T
-    edges = [*range(0, max(n - 1, 1), PREDICT_BLOCK), n]
+    edges = [*range(0, max(n - 3, 1), PREDICT_BLOCK), n]
     for start, stop in zip(edges[:-1], edges[1:]):
         out[start:stop] = _forward(net, H[:, start:stop])[-1][0]
     return out

@@ -254,14 +254,20 @@ class _InlinePool:
         return future
 
 
+# each case in float64 (the case's id as before) and in float32 (id ending in -float32)
+NOISE_ROWS = [pytest.param(*case, dtype, id="-".join(map(str, case)) + suffix)
+              for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+              for case in _noise_cases()]
+
+
 @pytest.mark.parametrize("pool", ["thread", "inline", "deferred", None])
-@pytest.mark.parametrize("n_b, dim, steps", list(_noise_cases()))
-def test_particle_noise_matches_step_by_step_draws(n_b, dim, steps, pool):
+@pytest.mark.parametrize("n_b, dim, steps, dtype", NOISE_ROWS)
+def test_particle_noise_matches_step_by_step_draws(n_b, dim, steps, dtype, pool):
     """Each particle's stream gives its first draw, then every step's row, as drawn in turn.
 
     The rows are the same whether a worker thread fills each chunk ("thread"),
     whether it keeps ahead ("inline") or falls behind ("deferred"), and with no
-    worker at all (None).
+    worker at all (None). float32 rows are the float64 draws, cast.
     """
     seeds = np.random.SeedSequence(11).spawn(n_b)
     ref_rngs = [np.random.default_rng(s) for s in seeds]
@@ -276,10 +282,10 @@ def test_particle_noise_matches_step_by_step_draws(n_b, dim, steps, pool):
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as thread_pool:
         executor = {"thread": thread_pool, "inline": _InlinePool(),
                     "deferred": _DeferredPool(), None: None}[pool]
-        got = [z.copy() for z in gridseek.bench._particle_noise(rngs, dim, steps, executor)]
+        got = [z.copy() for z in gridseek.bench._particle_noise(rngs, dim, steps, executor, dtype)]
     assert start.tobytes() == ref_start.tobytes()
     assert len(got) == steps
-    assert np.stack(got).tobytes() == ref_steps.tobytes()
+    assert np.stack(got).tobytes() == ref_steps.astype(dtype).tobytes()
     # nothing is drawn past the last step: each stream stops where the step-by-step one did
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
@@ -290,9 +296,9 @@ def test_noise_worker_starts_from_a_step_of_32_kib(monkeypatch):
     pools = []
     real = gridseek.bench._particle_noise
 
-    def recorded(rngs, dim, steps, pool):
+    def recorded(rngs, dim, steps, pool, dtype):
         pools.append(pool is not None)
-        return real(rngs, dim, steps, pool)
+        return real(rngs, dim, steps, pool, dtype)
 
     monkeypatch.setattr(gridseek.bench, "_particle_noise", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -304,8 +310,35 @@ def test_noise_worker_starts_from_a_step_of_32_kib(monkeypatch):
     assert pools == [False, True, False]
 
 
+def test_episode_holds_a_step_of_32_kib_in_float32(monkeypatch):
+    """Particles, xhat and noise are float32 from a 32 KiB step on, whatever the CPU count.
+
+    At 16 KiB (16x16 with 8 particles) they stay float64. The prior's means and squared mean
+    norms are cast with them, and a float32 trace is the same with and without the worker.
+    """
+    seen = []
+    real = gridseek.bench.reverse_step
+
+    def recorded(x, tau, z, observed, values, prior, gcfg, sched):
+        seen.append((x.dtype, z.dtype, prior.means.dtype, prior.mean_sq_norms.dtype))
+        step = real(x, tau, z, observed, values, prior, gcfg, sched)
+        seen.append(tuple(out.dtype for out in step))
+        return step
+
+    monkeypatch.setattr(gridseek.bench, "reverse_step", recorded)
+    cfg = replace(default_benchmark_config(), budget=4, schedule=ScheduleSpec(steps=40))
+    traces = []
+    for particles, cpus, dtype in ((8, {0, 1}, np.float64), (16, {0, 1}, np.float32),
+                                   (16, {0}, np.float32)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        seen.clear()
+        traces.append(run_episode(replace(cfg, particles=particles), seed=3).trace_csv())
+        assert {t for step in seen for t in step} == {np.dtype(dtype)}, (particles, cpus)
+    assert traces[1] == traces[2]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
-@pytest.mark.parametrize("particles", [8, 16])  # without and with the noise worker
+@pytest.mark.parametrize("particles", [8, 16])  # 16 KiB (float64), 32 KiB (float32) steps
 def test_no_thread_outlives_an_episode(particles, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = replace(default_benchmark_config(), particles=particles)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,21 @@ def test_non_finite_particles_exit_2_under_run_and_suite(tmp_path, capsys):
     assert main(["suite", "--config", str(path), "--out", str(tmp_path / "suite.csv")]) == 2
     err = capsys.readouterr().err
     assert "FAILED policy=diffatd B=8 seed=1" in err and "tau=67" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up overflows on purpose
+def test_non_finite_float32_particles_exit_2_under_run_and_suite(tmp_path, capsys):
+    """16 particles of 256 cells make a 32 KiB step, which runs float32: the guard still fires."""
+    path = tmp_path / "unstable32.json"
+    path.write_text(json.dumps({"zeta": 1000, "budget": 8, "particles": 16, "seeds": [1]}))
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    assert re.search(r"particles went non-finite at tau=\d+ \(zeta=1000.0\)",
+                     capsys.readouterr().err)
+    assert not out.exists()
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "suite.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "FAILED policy=diffatd B=8 seed=1" in err and "particles went non-finite" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the refits overflow on purpose

@@ -309,6 +309,23 @@ def test_gram_form_score_matches_difference_oracle(case):
 
 
 @pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_gram_form_score_matches_difference_oracle_in_float32(case):
+    """A float32 state under the float32 prior: a float32 score within 1e-6 of the largest pull.
+
+    The oracle runs in float64 at the same (float32-rounded) state; the worst error measured
+    was 6.9e-8 of the largest pull.
+    """
+    prior, sched, tau, x, _ = mixture_case(case)
+    x = x.astype(np.float32)
+    got = gmm_score(x, tau, prior.astype(np.float32), sched)
+    assert got.dtype == np.float32
+    x = x.astype(float)
+    scale = np.abs(difference_form(x, tau, prior, sched)[1]).max()
+    np.testing.assert_allclose(got, difference_score(x, tau, prior, sched),
+                               rtol=0, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
 def test_gram_form_log_density_matches_difference_oracle(case):
     prior, sched, tau, x, _ = mixture_case(case)
     got = gmm_log_density(x, tau, prior, sched)
@@ -355,6 +372,23 @@ def test_hessian_vector_product_matches_dense_oracle(case):
         hess = dense_score_hessian(x[i], tau, prior, sched)
         scale = np.abs(hess).max() * np.abs(v[i]).max()
         np.testing.assert_allclose(got[i], hess @ v[i], rtol=0, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("case", MIXTURE_CASES)
+def test_hessian_vector_product_matches_dense_oracle_in_float32(case):
+    """Float32 x and v under the float32 prior: a float32 product within 5e-5 of the scale.
+
+    The worst error measured was 3.6e-6 (the tight component), against the float64 dense
+    Hessian at the same float32-rounded state and direction.
+    """
+    prior, sched, tau, x, v = mixture_case(case)
+    x, v = x.astype(np.float32), v.astype(np.float32)
+    got = gmm_score_hessian(x, tau, prior.astype(np.float32), sched, v)
+    assert got.dtype == np.float32
+    for i in np.ndindex(x.shape[:-1]):
+        hess = dense_score_hessian(x[i].astype(float), tau, prior, sched)
+        scale = np.abs(hess).max() * np.abs(v[i]).max()
+        np.testing.assert_allclose(got[i], hess @ v[i].astype(float), rtol=0, atol=5e-5 * scale)
 
 
 @pytest.mark.parametrize("case", MIXTURE_CASES)
@@ -416,6 +450,18 @@ def test_step_invariant_kernels_match_difference_form_at_wide32_shape(tau):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_prior_astype_casts_means_variances_and_their_norms():
+    prior = random_prior(np.random.default_rng(31), 9, 5)
+    assert prior.astype(np.float64) is prior
+    cast = prior.astype(np.float32)
+    assert cast.weights is prior.weights  # float64, so the sum-to-1 check reads the same numbers
+    for got, want in ((cast.means, prior.means), (cast.variances, prior.variances),
+                      (cast.mean_sq_norms, prior.mean_sq_norms)):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want.astype(np.float32))
+    assert not cast.mean_sq_norms.flags.writeable
+
+
 def test_prior_caches_its_squared_mean_norms():
     prior = random_prior(np.random.default_rng(31), 9, 5)
     norms = prior.mean_sq_norms
@@ -456,6 +502,23 @@ def test_episode_step_matches_written_out_step(mode, zeta, tau, share):
     got = reverse_step(x, tau, z, observed, values, prior, cfg, sched)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
+def test_step_kernels_keep_their_state_dtype(mode, dtype):
+    """Each kernel returns its state's float dtype; the reverse step keeps a float32 episode's."""
+    prior, sched, x, z, observed, values = step_case((16, 16), 8, 4, 50, 0.1)
+    prior, x, z = prior.astype(dtype), x.astype(dtype), z.astype(dtype)
+    cfg = GuidanceConfig(1.0, mode)
+    score_fn = make_score_fn(prior, sched)
+    x_hat = tweedie_denoise(x, 50, score_fn, sched)
+    x_prime = ancestral_step(x, x_hat, 50, z, sched)
+    hessian_fn = lambda v: gmm_score_hessian(x, 50, prior, sched, v)
+    outputs = [gmm_score(x, 50, prior, sched), hessian_fn(z), x_hat, x_prime,
+               guidance_step(x_prime, x_hat, observed, values, 50, cfg, sched, hessian_fn),
+               *reverse_step(x, 50, z, observed, values, prior, cfg, sched)]
+    assert [out.dtype for out in outputs] == [np.dtype(dtype)] * len(outputs)
 
 
 @pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
@@ -522,12 +585,22 @@ def one_component_affine_step(x, tau, z, observed, values, mu, v, zeta, mode, sc
     return np.where(observed, out - gain * (x_hat - values), out)
 
 
-@pytest.mark.parametrize("mode", ["scaled-identity", "exact"])
-def test_one_component_trajectory_follows_the_affine_recursion(mode):
-    """200 guided steps of a blob-variance K = 1 prior stay within 1e-12 of the scalar recursion.
+# float32 tolerances: 10x the worst drift measured over the 200 steps, 4.6e-6 (scaled-identity)
+# and 3.0e-4 (exact, whose product p(p.v) - g(g.v) cancels to float32 rounding)
+TRAJECTORY_ROWS = [pytest.param(mode, dtype, tol, id=mode + suffix)
+                   for dtype, suffix, tols in ((np.float64, "", (1e-12, 1e-12)),
+                                               (np.float32, "-float32", (5e-5, 3e-3)))
+                   for mode, tol in zip(("scaled-identity", "exact"), tols)]
+
+
+@pytest.mark.parametrize("mode, dtype, tol", TRAJECTORY_ROWS)
+def test_one_component_trajectory_follows_the_affine_recursion(mode, dtype, tol):
+    """200 guided steps of a blob-variance K = 1 prior stay within ``tol`` of the scalar recursion.
 
     Four particles start at distinct states and take one fixed nonzero z at every step, so
-    every cell carries the noise term sigma_tilde_tau z as well as A_tau x + b_tau.
+    every cell carries the noise term sigma_tilde_tau z as well as A_tau x + b_tau. A float32
+    row steps float32 particles under the float32 prior; its recursion runs in float64 from
+    the same float32 start and noise.
     """
     prior = make_blob_prior((8, 8), n_components=1).affine(2.0, -1.0)
     mu, v = prior.means[0], prior.variances[0]
@@ -538,12 +611,14 @@ def test_one_component_trajectory_follows_the_affine_recursion(mode):
     observed = np.zeros(n, dtype=bool)
     observed[rng.permutation(n)[:16]] = True
     values = np.where(observed, rng.uniform(-1.0, 1.0, n), 0.0)
-    want, z = rng.standard_normal((2, 4, n))
-    x = want.copy()
+    want, z = rng.standard_normal((2, 4, n)).astype(dtype)
+    x, want, step_prior = want, want.astype(float), prior.astype(dtype)
     for tau in range(sched.T, 0, -1):
-        x, _ = reverse_step(x, tau, z, observed, values, prior, cfg, sched)
-        want = one_component_affine_step(want, tau, z, observed, values, mu, v, 1.0, mode, sched)
-        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max(), tau
+        x, _ = reverse_step(x, tau, z, observed, values, step_prior, cfg, sched)
+        assert x.dtype == dtype
+        want = one_component_affine_step(want, tau, z.astype(float), observed, values, mu, v,
+                                         1.0, mode, sched)
+        assert np.abs(x - want).max() <= tol * np.abs(want).max(), tau
 
 
 # ------------------------------------------------------------------ tweedie
@@ -603,6 +678,24 @@ def test_tweedie_gaussian_oracle_all_steps():
             expected = closed_form_posterior_mean(x, sched.alpha_bar[tau - 1], mu, v)
             got = tweedie_denoise(x, tau, score_fn, sched)
             assert abs(got[0] - expected[0]) < 1e-9
+
+
+def test_tweedie_gaussian_oracle_all_steps_in_float32():
+    """The float32 path: a float32 state and prior give float32, within 2e-6 of the oracle.
+
+    The worst error measured was 1.9e-7, for values of order 1.
+    """
+    rng = np.random.default_rng(9)
+    sched = make_schedule(50)
+    for _ in range(20):
+        mu, v = rng.normal(), rng.uniform(0.05, 2.0)
+        score_fn = make_score_fn(GaussianMixturePrior.single([mu], v).astype(np.float32), sched)
+        for tau in range(1, 51):
+            x = rng.normal(size=1).astype(np.float32)
+            expected = closed_form_posterior_mean(x.astype(float), sched.alpha_bar[tau - 1], mu, v)
+            got = tweedie_denoise(x, tau, score_fn, sched)
+            assert got.dtype == np.float32
+            assert abs(got[0] - expected[0]) < 2e-6
 
 
 # ----------------------------------------------------------- ancestral step

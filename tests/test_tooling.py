@@ -109,3 +109,20 @@ def test_ab_time_runs_the_repository_against_itself():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert "identical traces on 2 of 2 units" in run.stdout, run.stdout
+
+
+def test_sr_pairs_runs_the_repository_against_itself():
+    """A tiny paper16 config: a row per kind for the A/A floor and for A/B, and no moved pick
+    between a tree and itself. It asserts no success rate, since those depend on the machine."""
+    root = str(PYPROJECT.parent)
+    run = subprocess.run(
+        [sys.executable, str(TOOLS / "sr_pairs.py"), root, root, "--workload", "paper16",
+         "--seeds", "2", "--budget", "2", "--steps", "20"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    rows = [line.split()[:2] for line in run.stdout.splitlines()[2:14]]
+    kinds = ("diffatd", "max_ent", "greedy_adaptive", "random", "ucb", "eps_greedy")
+    assert rows == [[label, kind] for kind in kinds for label in ("A/A", "A/B")], run.stdout
+    for kind in kinds:
+        assert f"A/B {kind} moved seeds: none" in run.stdout, run.stdout

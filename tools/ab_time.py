@@ -56,8 +56,8 @@ class Tree:
         for name in self.modules:
             del sys.modules[name]
 
-    def play_unit(self, seed: int) -> tuple[float, list[str]]:
-        """Seconds to play ``seed`` under every kind, and each episode's trace."""
+    def play_unit(self, seed: int) -> tuple[float, list]:
+        """Seconds to play ``seed`` under every kind, and each kind's ``EpisodeResult``."""
         sys.modules.update(self.modules)  # for any name the program looks up as it runs
         try:
             start = time.perf_counter()
@@ -66,7 +66,7 @@ class Tree:
         finally:
             for name in self.modules:
                 del sys.modules[name]
-        return took, [result.trace_csv() for result in results]
+        return took, results
 
 
 def main(argv=None) -> int:
@@ -91,8 +91,9 @@ def main(argv=None) -> int:
         order = (0, 1) if seed % 2 else (1, 0)
         traces = [None, None]
         for side in order:
-            took, traces[side] = trees[side].play_unit(seed)
+            took, results = trees[side].play_unit(seed)
             seconds[side].append(took)
+            traces[side] = [result.trace_csv() for result in results]
         same += traces[0] == traces[1]
 
     ratios = [b / a for a, b in zip(*seconds)]
