@@ -40,13 +40,8 @@ __all__ = [
     "ScoreField",
     "marginal_entropy",
     "location_scores",
-    "entropy_rank_oracle",
     "score_field",
 ]
-
-
-class SizeLimitError(ValueError):
-    """Raised when the brute-force oracle is asked for a non-toy instance."""
 
 
 @dataclass
@@ -156,30 +151,6 @@ def location_scores(
             likeli += math.exp(-d)
     reward = 0.0 if reward_fn is None else float(np.sum(reward_fn(patches)))
     return expl, likeli, likeli * reward
-
-
-def entropy_rank_oracle(batch: ParticleBatch, candidates: Sequence, cfg: BeliefConfig):
-    """Brute-force ranking of candidates by the per-location belief objective.
-
-    Walks the objective exactly as the pairwise decomposition prescribes:
-    equal particle weights, one log(exp(.)) term per ordered particle pair,
-    restricted to the candidate's own cells. Test-only; guarded to toy sizes
-    (n_b <= 4, <= 16 scalar candidates). Returns (best candidate, all values).
-    """
-    if batch.n_b > 4 or len(candidates) > 16:
-        raise SizeLimitError("oracle limited to n_b <= 4 and <= 16 candidates")
-    values = []
-    for cand in candidates:
-        coords = _coords(cand, batch.dim)
-        if coords.size != 1:
-            raise SizeLimitError("oracle limited to scalar (single-cell) candidates")
-        total = 0.0
-        for i in range(batch.n_b):
-            for j in range(batch.n_b):
-                dev = batch.denoised[i, coords[0]] - batch.denoised[j, coords[0]]
-                total += math.log(math.exp(dev * dev / (2.0 * cfg.sigma_x2)))
-        values.append(total)
-    return candidates[int(np.argmax(values))], np.asarray(values)
 
 
 def score_field(

@@ -59,12 +59,20 @@ def _load_config(path: str, args) -> ExperimentConfig:
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work, an output path that names the config file or another output."""
-    paths = {"--config": args.config, "--out": args.out}
+    """Refuse, before any work, an output path that names a directory, lies in a missing
+    directory, or names the config file or another output."""
+    outputs = {"--out": args.out}
     if getattr(args, "trace", None):
-        paths["--trace"] = args.trace
+        outputs["--trace"] = args.trace
     if args.command == "gen-scene":
-        paths["--out's target map"] = _target_path(Path(args.out))
+        outputs["--out's target map"] = _target_path(Path(args.out))
+    for flag, path in outputs.items():
+        path = Path(path)
+        if path.is_dir():
+            raise _CliArgumentError(f"{flag} {path} is a directory")
+        if not path.resolve().parent.is_dir():
+            raise _CliArgumentError(f"{flag} {path}: {path.parent} is not an existing directory")
+    paths = {"--config": args.config, **outputs}
     flags = {}
     for flag, path in paths.items():
         other = flags.setdefault(Path(path).resolve(), flag)

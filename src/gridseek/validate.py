@@ -3,9 +3,9 @@
 Each suite reruns one of the package's independently derivable checks on its
 shipped defaults: closed-form posterior means against one-step denoising,
 finite differences against the analytic score, the written-out guided
-reverse step against the one that episodes run, the brute-force ranking
-oracle against the exploration score, and finite differences against the
-reward model's backward pass. Each check takes its seed and returns
+reverse step against the one that episodes run, the brute-force
+``location_scores`` against the exploration score, and finite differences
+against the reward model's backward pass. Each check takes its seed and returns
 (passed, detail); acceptance criteria 1-4 run them at seeds 101-104.
 """
 
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from gridseek.belief import BeliefConfig, ParticleBatch, entropy_rank_oracle, score_field
+from gridseek.belief import BeliefConfig, ParticleBatch, location_scores, score_field
 from gridseek.bench import reverse_step
 from gridseek.diffusion import (
     GaussianMixturePrior,
@@ -141,7 +141,7 @@ def check_entropy_ranking(seed: int = 2):
         n_loc = int(rng.integers(2, 17))
         batch = ParticleBatch(rng.normal(size=(n_b, n_loc)))
         cands = list(range(n_loc))
-        _, vals = entropy_rank_oracle(batch, cands, cfg)
+        vals = np.array([location_scores(batch, q, cfg)[0] for q in cands])
         expl = score_field(batch, cands, np.arange(n_loc)[:, None], cfg).exploration
         tied = set(np.flatnonzero(vals >= vals.max() - 1e-9))
         agreed += int(np.argmax(expl)) in tied

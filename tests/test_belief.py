@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gridseek import validate
 from gridseek.belief import (
     BeliefConfig,
     ParticleBatch,
-    SizeLimitError,
-    entropy_rank_oracle,
     location_scores,
     marginal_entropy,
     score_field,
@@ -224,40 +223,54 @@ def test_spread_monotonicity(vals, c):
 # ------------------------------------------------------------------- oracle
 
 
+def expl_values(b, cands):
+    return np.array([expl(b, q) for q in cands])
+
+
 def test_oracle_picks_unique_disagreement():
-    b = batch_of([[0.0, 0.0], [0.0, 1.0]])
-    assert entropy_rank_oracle(b, [0, 1], CFG)[0] == 1
+    # particles at 0 and 40: d = 800 per ordered pair, where exp(d) overflows; the sum must not
+    for vals, top in (([[0.0, 0.0], [0.0, 1.0]], 1.0), ([[0.0, 0.0], [0.0, 40.0]], 1600.0)):
+        scores = expl_values(batch_of(vals), [0, 1])
+        assert scores.tolist() == [0.0, top]
+        assert int(np.argmax(scores)) == 1
 
 
 def test_oracle_equivalence_200_random_instances():
+    # check_entropy_ranking at another seed
     rng = np.random.default_rng(17)
     for _ in range(200):
         n_b = int(rng.integers(2, 5))
         n_loc = int(rng.integers(2, 17))
         b = batch_of(rng.normal(size=(n_b, n_loc)))
         cands = list(range(n_loc))
-        _, oracle_vals = entropy_rank_oracle(b, cands, CFG)
-        scores = np.array([expl(b, q) for q in cands])
-        tied = set(np.flatnonzero(oracle_vals >= oracle_vals.max() - 1e-9))
-        assert int(np.argmax(scores)) in tied
+        ref = expl_values(b, cands)
+        field = score_field(b, cands, np.arange(n_loc)[:, None], CFG)
+        tied = set(np.flatnonzero(ref >= ref.max() - 1e-9))
+        assert int(np.argmax(field.exploration)) in tied
 
 
 def test_oracle_tie_semantics():
     b = batch_of([[0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    _, vals = entropy_rank_oracle(b, [0, 1, 2], CFG)
-    tied = set(np.flatnonzero(vals >= vals.max() - 1e-12))
+    ref = expl_values(b, [0, 1, 2])
+    tied = set(np.flatnonzero(ref >= ref.max() - 1e-12))
     assert tied == {0, 1}
-    scores = [expl(b, q) for q in (0, 1, 2)]
-    assert int(np.argmax(scores)) in tied
+    field = score_field(b, [0, 1, 2], np.arange(3)[:, None], CFG)
+    assert int(np.argmax(field.exploration)) in tied
 
 
-def test_oracle_size_guard():
-    b = batch_of(np.zeros((5, 2)))
-    with pytest.raises(SizeLimitError):
-        entropy_rank_oracle(b, [0], CFG)
-    b2 = batch_of(np.zeros((2, 20)))
-    with pytest.raises(SizeLimitError):
-        entropy_rank_oracle(b2, list(range(20)), CFG)
+def test_ranking_suite_fails_on_a_negated_exploration(monkeypatch):
+    real = validate.score_field
+
+    def negated(*args):
+        field = real(*args)
+        field.exploration = -field.exploration
+        return field
+
+    monkeypatch.setattr(validate, "score_field", negated)
+    passed, detail = validate.check_entropy_ranking()
+    assert not passed
+    agreed, total = map(int, detail.split()[0].split("/"))
+    assert total == 200 and agreed < 200
 
 
 def test_theorem3_consensus_exploit_argmax_equals_reward_argmax():

@@ -449,14 +449,19 @@ def test_suite_row_accounting():
 
 
 def test_suite_parallel_matches_serial():
-    cfg = tiny_cfg(seeds=[1, 2, 3], budget=4)
-    serial, _ = run_suite(cfg, policies=["random", "diffatd"])
-    parallel, _ = run_suite(cfg, policies=["random", "diffatd"], jobs=2)
+    """Rows match across jobs 1 and 2, also for float32 episodes (16x16, 16 particles:
+    a 32 KiB step, so each pool worker starts its own noise worker)."""
 
     def metrics(rows):  # wall clock is recorded but excluded from any metric
         return [{k: v for k, v in r.items() if k != "mean_runtime"} for r in rows]
 
-    assert metrics(serial) == metrics(parallel)
+    float32 = replace(default_benchmark_config(), particles=16, budget=8, seeds=[1, 2, 3])
+    for cfg, policies in ((tiny_cfg(seeds=[1, 2, 3], budget=4), ["random", "diffatd"]),
+                          (float32, None)):
+        serial, failed = run_suite(cfg, policies=policies)
+        parallel, failed_parallel = run_suite(cfg, policies=policies, jobs=2)
+        assert failed == failed_parallel == []
+        assert metrics(serial) == metrics(parallel), cfg.particles
 
 
 def test_suite_pool_starts_no_more_workers_than_tasks(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gridseek.bench
+import gridseek.cli
 from gridseek.bench import build_scene
 from gridseek.cli import main
 from gridseek.diffusion import GaussianMixturePrior
@@ -155,6 +156,41 @@ def test_gen_scene_target_map_naming_the_config_exits_1(tmp_path, config_path, c
     assert "target map" in capsys.readouterr().err
     assert config.read_bytes() == config_path.read_bytes()
     assert not (tmp_path / "scene.csv").exists()
+
+
+@pytest.mark.parametrize("command,flags,named", [
+    ("run", ["--out", "missing/ep.csv"], "--out missing/ep.csv"),
+    ("run", ["--out", "outdir"], "--out outdir"),
+    ("run", ["--out", "ep.csv", "--trace", "missing/f.csv"], "--trace missing/f.csv"),
+    ("run", ["--out", "ep.csv", "--trace", "outdir"], "--trace outdir"),
+    ("scores", ["--out", "missing/s.csv"], "--out missing/s.csv"),
+    ("suite", ["--out", "missing/r.csv"], "--out missing/r.csv"),
+    ("suite", ["--out", "outdir"], "--out outdir"),
+    ("gen-scene", ["--out", "missing/scene.csv"], "--out missing/scene.csv"),
+    ("gen-scene", ["--out", "outdir"], "--out outdir"),
+    ("gen-scene", ["--out", "scene.csv"], "--out's target map scene.target.csv"),
+], ids=["run-missing", "run-dir", "run-trace-missing", "run-trace-dir", "scores-missing",
+        "suite-missing", "suite-dir", "gen-scene-missing", "gen-scene-dir",
+        "gen-scene-target-map-dir"])
+def test_unwritable_output_exits_1_before_any_work(tmp_path, config_path, capsys,
+                                                   monkeypatch, command, flags, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "scene.target.csv").mkdir()
+    started = []
+
+    def no_work(*args, **kwargs):
+        started.append(args)
+        raise RuntimeError("work started")
+
+    for module, name in ((gridseek.cli, "run_episode"), (gridseek.bench, "run_episode"),
+                         (gridseek.cli, "build_prior_and_scene")):
+        monkeypatch.setattr(module, name, no_work)
+    assert main([command, "--config", config_path.name, *flags]) == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert started == []
+    assert not (tmp_path / "ep.csv").exists()
 
 
 def test_gen_scene_writes_the_scene_run_plays(tmp_path, config_path, monkeypatch):
