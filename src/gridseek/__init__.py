@@ -19,7 +19,6 @@ from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
     NoiseSchedule,
-    make_schedule,
 )
 from gridseek.env import Scene, load_scene, save_scene
 from gridseek.policy import PolicyConfig
@@ -38,7 +37,6 @@ __all__ = [
     "ScoreField",
     "default_benchmark_config",
     "load_scene",
-    "make_schedule",
     "run_episode",
     "run_suite",
     "save_scene",

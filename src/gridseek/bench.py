@@ -39,6 +39,7 @@ from gridseek.belief import (
 from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
+    NoiseSchedule,
     _step_hvp,
     _step_terms,
     ancestral_step,
@@ -46,7 +47,6 @@ from gridseek.diffusion import (
     gmm_score,
     gmm_score_hessian,  # not called here; perfbench traces it by this name
     guidance_step,
-    make_schedule,
     tweedie_denoise,
 )
 from gridseek.env import (
@@ -70,7 +70,6 @@ from gridseek.reward import RewardNet, predict, train
 
 __all__ = [
     "ConfigError",
-    "ScheduleSpec",
     "SceneSpec",
     "RewardSpec",
     "JsonPrior",
@@ -155,22 +154,6 @@ def to_engine(values: np.ndarray) -> np.ndarray:
 def to_unit(values: np.ndarray) -> np.ndarray:
     """Map sampler values back onto [0, 1], in their float dtype."""
     return (as_float(values) + 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    steps: int = 200
-    beta_min: float = 1e-4
-    beta_max: float = 0.02
-    curve: str = "linear"
-    sigma_mode: str = "posterior"
-
-    def __post_init__(self):
-        _build("schedule", self.build)  # make_schedule owns the schedule's rules
-
-    def build(self):
-        return make_schedule(self.steps, self.beta_min, self.beta_max,
-                             self.curve, self.sigma_mode)
 
 
 @dataclass(frozen=True)
@@ -277,7 +260,7 @@ class DirPrior:
 @dataclass(frozen=True)
 class ExperimentConfig:
     scene: SceneSpec = field(default_factory=SceneSpec)
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
+    schedule: NoiseSchedule = field(default_factory=NoiseSchedule)
     budget: int = 32
     particles: int = 8
     zeta: float = 1.0
@@ -557,10 +540,10 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     large_step = 8 * cfg.particles * dim >= _LARGE_STEP_BYTES
     dtype = np.float32 if large_step else np.float64
     prior = prior_unit.affine(2.0, -1.0).astype(dtype)
-    sched = cfg.schedule.build()
+    sched = cfg.schedule
     gcfg = GuidanceConfig(zeta=cfg.zeta, jacobian_mode=cfg.jacobian_mode)
     bcfg = BeliefConfig(sigma_x2=cfg.sigma_x2)
-    schedule_set = build_measurement_schedule(sched.T, cfg.budget)
+    schedule_set = build_measurement_schedule(sched.steps, cfg.budget)
 
     patch_area = scene.block**2
     net = RewardNet.create([patch_area, *cfg.reward.hidden, 1], reward_seed)
@@ -574,8 +557,9 @@ def run_episode(cfg: ExperimentConfig, seed: int,
     # a worker only helps with a CPU of its own and a step large enough to repay its handoffs
     use_worker = large_step and _usable_cpus() > 1
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:  # no thread until a submit
-        noise = _particle_noise(particle_rngs, dim, sched.T, pool if use_worker else None, dtype)
-        for tau, z in zip(range(sched.T, 0, -1), noise):
+        noise = _particle_noise(particle_rngs, dim, sched.steps, pool if use_worker else None,
+                                dtype)
+        for tau, z in zip(range(sched.steps, 0, -1), noise):
             particles, x_hat = reverse_step(particles, tau, z, state.observed, state.values,
                                             prior, gcfg, sched)
             if not np.isfinite(particles).all():

@@ -12,6 +12,7 @@ validation or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,14 +60,16 @@ def _load_config(path: str, args) -> ExperimentConfig:
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work, an output path that names a directory, lies in a missing
-    directory, or names the config file or another output."""
+    """Refuse, before any work, an output path that names a directory (or ends in a path
+    separator), lies in a missing directory, or names the config file or another output."""
     outputs = {"--out": args.out}
     if getattr(args, "trace", None):
         outputs["--trace"] = args.trace
     if args.command == "gen-scene":
         outputs["--out's target map"] = _target_path(Path(args.out))
     for flag, path in outputs.items():
+        if not os.path.basename(path):  # Path() would drop the separator and write a file
+            raise _CliArgumentError(f"{flag} {path} ends in a path separator")
         path = Path(path)
         if path.is_dir():
             raise _CliArgumentError(f"{flag} {path} is a directory")

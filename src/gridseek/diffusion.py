@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
@@ -52,7 +52,6 @@ __all__ = [
     "NoiseSchedule",
     "GaussianMixturePrior",
     "GuidanceConfig",
-    "make_schedule",
     "gmm_log_density",
     "gmm_score",
     "gmm_score_hessian",
@@ -71,28 +70,39 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step constants of the discretized forward/reverse process, derived from ``beta``.
+    """A noise schedule of ``steps`` steps, set by its five settings, and its per-step constants.
 
-    Arrays are indexed by tau - 1 for tau in 1..T. ``alpha_bar_at`` extends
+    ``linear`` interpolates beta from beta_min to beta_max. ``cosine`` derives
+    beta from a squared-cosine signal curve and clips it into [beta_min, beta_max].
+    ``beta``, ``alpha``, ``alpha_bar`` and ``sigma_tilde`` are derived, not fields,
+    so a schedule compares, hashes, pickles and serialises by its settings.
+    Arrays are indexed by tau - 1 for tau in 1..steps. ``alpha_bar_at`` extends
     the cumulative product with abar_0 = 1, which the reverse-step formula
     needs at the tau = 1 boundary. ``sigma_mode`` selects the reverse-step
     noise scale: ``posterior`` uses sqrt(beta_tau (1 - abar_{tau-1}) / (1 - abar_tau))
     (zero at tau = 1), ``zero`` gives a deterministic sampler.
     """
 
-    beta: np.ndarray
+    steps: int = 200
+    beta_min: float = 1e-4
+    beta_max: float = 0.02
+    curve: str = "linear"
     sigma_mode: str = "posterior"
-    T: int = field(init=False)
-    alpha: np.ndarray = field(init=False)
-    alpha_bar: np.ndarray = field(init=False)
-    sigma_tilde: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float)
-        if beta.ndim != 1 or beta.size == 0:
-            raise ScheduleError(f"beta must be a nonempty 1-D array, got shape {beta.shape}")
-        if not np.all((beta > 0.0) & (beta < 1.0)):
-            raise ScheduleError("beta values must lie in (0, 1)")
+        steps, beta_min, beta_max = self.steps, self.beta_min, self.beta_max
+        if steps < 1:
+            raise ScheduleError(f"step count must be >= 1, got {steps}")
+        if not (0.0 < beta_min <= beta_max < 1.0):
+            raise ScheduleError(f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})")
+        if self.curve == "linear":
+            beta = np.linspace(beta_min, beta_max, steps)
+        elif self.curve == "cosine":
+            s = 0.008
+            f = np.cos((np.arange(steps + 1) / steps + s) / (1.0 + s) * math.pi / 2.0) ** 2
+            beta = np.clip(1.0 - f[1:] / f[:-1], beta_min, beta_max)
+        else:
+            raise ScheduleError(f"unknown curve {self.curve!r}")
         alpha = 1.0 - beta
         if np.any(alpha == 1.0):  # abar_tau = 1 leaves 1 - abar_tau = 0 to divide by
             raise ScheduleError(f"beta {beta.min()} is too small: 1 - beta rounds to 1")
@@ -101,12 +111,15 @@ class NoiseSchedule:
             alpha_bar_prev = np.concatenate(([1.0], alpha_bar[:-1]))
             sigma_tilde = np.sqrt(beta * (1.0 - alpha_bar_prev) / (1.0 - alpha_bar))
         elif self.sigma_mode == "zero":
-            sigma_tilde = np.zeros(beta.size)
+            sigma_tilde = np.zeros(steps)
         else:
             raise ScheduleError(f"unknown sigma_mode {self.sigma_mode!r}")
-        for name, value in (("beta", beta), ("T", beta.size), ("alpha", alpha),
-                            ("alpha_bar", alpha_bar), ("sigma_tilde", sigma_tilde)):
+        for name, value in (("beta", beta), ("alpha", alpha), ("alpha_bar", alpha_bar),
+                            ("sigma_tilde", sigma_tilde)):
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # rebuilt from its settings, not shipped with its arrays
+        return type(self), astuple(self)
 
     def alpha_bar_at(self, tau: int) -> float:
         if tau == 0:
@@ -114,40 +127,8 @@ class NoiseSchedule:
         return self.alpha_bar.item(tau - 1)
 
     def _check_tau(self, tau: int) -> None:
-        if not 1 <= tau <= self.T:
-            raise ScheduleError(f"step index {tau} outside 1..{self.T}")
-
-
-def make_schedule(
-    T: int,
-    beta_min: float = 1e-4,
-    beta_max: float = 0.02,
-    curve: str = "linear",
-    sigma_mode: str = "posterior",
-) -> NoiseSchedule:
-    """Build a noise schedule with T steps.
-
-    ``linear`` interpolates beta from beta_min to beta_max. ``cosine`` derives
-    beta from a squared-cosine signal curve and clips it into
-    [beta_min, beta_max]. ``NoiseSchedule`` derives the rest, under ``sigma_mode``.
-    """
-    if T < 1:
-        raise ScheduleError(f"step count must be >= 1, got {T}")
-    if not (0.0 < beta_min <= beta_max < 1.0):
-        raise ScheduleError(
-            f"need 0 < beta_min <= beta_max < 1, got ({beta_min}, {beta_max})"
-        )
-
-    if curve == "linear":
-        beta = np.linspace(beta_min, beta_max, T)
-    elif curve == "cosine":
-        s = 0.008
-        grid = np.arange(T + 1) / T
-        f = np.cos((grid + s) / (1.0 + s) * math.pi / 2.0) ** 2
-        beta = np.clip(1.0 - f[1:] / f[:-1], beta_min, beta_max)
-    else:
-        raise ScheduleError(f"unknown curve {curve!r}")
-    return NoiseSchedule(beta, sigma_mode)
+        if not 1 <= tau <= self.steps:
+            raise ScheduleError(f"step index {tau} outside 1..{self.steps}")
 
 
 @dataclass(frozen=True)

@@ -193,16 +193,14 @@ def _neighborhood_estimates(state: EpisodeState, locations):
 def select_from_field(
     cfg: PolicyConfig,
     state: EpisodeState,
-    field: ScoreField | None,
+    field: ScoreField,
     rng: np.random.Generator,
 ) -> int:
     """The row of the next location among ``field.locations``, the candidates it scores.
 
     ``diffatd`` reads the kappa mix that ``bench.choose`` left in ``field.combined``.
-    A belief-blind kind may get no field; its row then indexes ``state.candidates``.
     """
-    locations = state.candidates if field is None else field.locations
-    n = len(locations)
+    n = len(field.locations)
     if not n:
         raise ExhaustedCandidatesError("candidate set is empty")
 
@@ -210,7 +208,7 @@ def select_from_field(
         return int(rng.integers(n))
 
     if cfg.kind in ("ucb", "eps_greedy"):
-        est, counts = _neighborhood_estimates(state, locations)
+        est, counts = _neighborhood_estimates(state, field.locations)
         if cfg.kind == "ucb":
             bonus = cfg.ucb_c * np.sqrt(math.log(state.t + 1.0) / (counts + 1.0))
             return _argmax_with_ties(est + bonus, cfg.tie_break, rng)
@@ -218,8 +216,6 @@ def select_from_field(
             return int(rng.integers(n))
         return _argmax_with_ties(est, cfg.tie_break, rng)
 
-    if field is None:
-        raise ValueError(f"{cfg.kind} needs a score field")
     if cfg.kind == "max_ent":
         values = field.exploration
     elif cfg.kind == "greedy_adaptive":

@@ -133,25 +133,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
-def _as_matrix(net: RewardNet, patch) -> tuple[np.ndarray, bool]:
+def _as_matrix(net: RewardNet, patch) -> np.ndarray:
     X = np.asarray(patch, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     width = net.weights[0].shape[0]
     if X.shape[1] != width:
         raise ValueError(f"patch dimension {X.shape[1]} does not match net input {width}")
-    return X, single
+    return X
 
 
-def predict(net: RewardNet, patch):
-    """Deterministic forward pass squashed to a probability in (0, 1).
-
-    Accepts one flattened patch or a (n, patch_area) matrix.
-    """
-    X, single = _as_matrix(net, patch)
-    probs = _sigmoid(_logits(net, X))
-    return float(probs[0]) if single else probs
+def predict(net: RewardNet, patch) -> np.ndarray:
+    """Deterministic forward pass: a probability in (0, 1) per row of (rows, inputs) patches."""
+    return _sigmoid(_logits(net, _as_matrix(net, patch)))
 
 
 def _split(net: RewardNet, dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +151,7 @@ def _split(net: RewardNet, dataset) -> tuple[np.ndarray, np.ndarray]:
     dataset = np.asarray(dataset, dtype=float)
     if dataset.ndim != 2 or len(dataset) == 0:
         raise ValueError("dataset must be a nonempty (rows, inputs + 1) array")
-    X, y = _as_matrix(net, dataset[:, :-1])[0], dataset[:, -1]
+    X, y = _as_matrix(net, dataset[:, :-1]), dataset[:, -1]
     if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError("labels must lie in [0, 1]")
     return X, y

@@ -20,10 +20,10 @@ from gridseek.bench import reverse_step
 from gridseek.diffusion import (
     GaussianMixturePrior,
     GuidanceConfig,
+    NoiseSchedule,
     gmm_log_density,
     gmm_score,
     gmm_score_hessian,
-    make_schedule,
     tweedie_denoise,
 )
 from gridseek.env import make_blob_prior
@@ -34,7 +34,7 @@ __all__ = ["run_all", "SUITES"]
 
 def check_tweedie(seed: int = 0):
     rng = np.random.default_rng(seed)
-    sched = make_schedule(1000)
+    sched = NoiseSchedule(1000)
     worst = 0.0
     for _ in range(50):
         mu = float(rng.normal())
@@ -53,7 +53,7 @@ def check_tweedie(seed: int = 0):
 
 def check_score_fd(seed: int = 1):
     rng = np.random.default_rng(seed)
-    sched = make_schedule(200)
+    sched = NoiseSchedule(200)
     h = 1e-5
     worst = 0.0
     for _ in range(100):
@@ -108,7 +108,7 @@ def check_reverse_step(seed: int = 5):
     and every cell observed, with values drawn from the prior as a blob scene's are.
     """
     rng = np.random.default_rng(seed)
-    sched = make_schedule(200)
+    sched = NoiseSchedule(200)
     worst = 0.0
     for shape, k, n_b in (((16, 16), 8, 8), ((32, 32), 32, 16)):
         prior = make_blob_prior(shape, k, layout_seed=int(rng.integers(1000))).affine(2.0, -1.0)
@@ -116,7 +116,7 @@ def check_reverse_step(seed: int = 5):
         for mode in ("scaled-identity", "exact"):
             for zeta in (0.0, 1.0):
                 cfg = GuidanceConfig(zeta, mode)
-                for tau in (sched.T, sched.T // 2, 1):
+                for tau in (sched.steps, sched.steps // 2, 1):
                     root = np.sqrt(sched.alpha_bar[tau - 1])
                     for share in (0.0, 0.1, 1.0):
                         observed = rng.random(n) < share

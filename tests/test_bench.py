@@ -28,7 +28,6 @@ from gridseek.bench import (
     JsonPrior,
     RewardSpec,
     SceneSpec,
-    ScheduleSpec,
     build_prior_and_scene,
     default_benchmark_config,
     run_episode,
@@ -37,6 +36,7 @@ from gridseek.bench import (
     success_rate,
     write_suite_csv,
 )
+from gridseek.diffusion import NoiseSchedule
 from gridseek.env import load_scene
 from gridseek.policy import POLICY_KINDS, EpisodeState, PolicyConfig
 
@@ -45,7 +45,7 @@ def tiny_cfg(**overrides):
     base = ExperimentConfig(
         scene=SceneSpec(kind="blobs", rows=6, cols=6, components=3,
                         blobs_per_component=1, radius=1.4, layout_seed=2),
-        schedule=ScheduleSpec(steps=30),
+        schedule=NoiseSchedule(steps=30),
         budget=6,
         particles=3,
         seeds=[1, 2],
@@ -137,7 +137,7 @@ def test_sr_rejects_result_played_at_other_budget():
 
 
 def test_exhaustive_budget_collects_everything():
-    cfg = tiny_cfg(budget=36, schedule=ScheduleSpec(steps=40))
+    cfg = tiny_cfg(budget=36, schedule=NoiseSchedule(steps=40))
     res = run_episode(cfg, seed=3)
     assert len(res.records) == 36
     assert res.sr_term == pytest.approx(1.0)
@@ -146,7 +146,7 @@ def test_exhaustive_budget_collects_everything():
 
 
 def test_record_count_min_budget_candidates():
-    cfg = tiny_cfg(budget=40, schedule=ScheduleSpec(steps=40))
+    cfg = tiny_cfg(budget=40, schedule=NoiseSchedule(steps=40))
     res = run_episode(cfg, seed=3)
     assert len(res.records) == 36  # candidates run out first
 
@@ -197,7 +197,7 @@ def test_random_policy_matches_density_monte_carlo(tmp_path):
 
 
 def test_locations_never_repeat_within_episode():
-    cfg = tiny_cfg(budget=20, schedule=ScheduleSpec(steps=30))
+    cfg = tiny_cfg(budget=20, schedule=NoiseSchedule(steps=30))
     res = run_episode(cfg, seed=9)
     locs = [r.location for r in res.records]
     assert len(locs) == len(set(locs))
@@ -326,7 +326,7 @@ def test_episode_holds_a_step_of_32_kib_in_float32(monkeypatch):
         return step
 
     monkeypatch.setattr(gridseek.bench, "reverse_step", recorded)
-    cfg = replace(default_benchmark_config(), budget=4, schedule=ScheduleSpec(steps=40))
+    cfg = replace(default_benchmark_config(), budget=4, schedule=NoiseSchedule(steps=40))
     traces = []
     for particles, cpus, dtype in ((8, {0, 1}, np.float64), (16, {0, 1}, np.float32),
                                    (16, {0}, np.float32)):
@@ -354,7 +354,7 @@ def test_no_thread_outlives_an_episode(particles, monkeypatch):
 
 def test_exact_jacobian_mode_runs():
     cfg = tiny_cfg(jacobian_mode="exact", budget=3,
-                   schedule=ScheduleSpec(steps=12))
+                   schedule=NoiseSchedule(steps=12))
     res = run_episode(cfg, seed=1)
     assert len(res.records) == 3
 
@@ -564,7 +564,7 @@ def test_replace_checks_the_copy():
 @pytest.mark.parametrize("config,name", [
     (tiny_cfg(), "budget"),
     (SceneSpec(), "threshold"),
-    (ScheduleSpec(), "steps"),
+    (NoiseSchedule(), "steps"),
     (RewardSpec(), "epochs"),
     (PolicyConfig(), "kind"),
     (BeliefConfig(), "sigma_x2"),
@@ -686,7 +686,7 @@ def test_episode_reads_the_candidates_once_per_measurement(kind, monkeypatch):
     reads, derive = [], EpisodeState.candidates.fget
     monkeypatch.setattr(EpisodeState, "candidates", property(
         lambda state: reads.append(state.t) or derive(state)))
-    cfg = tiny_cfg(policy=PolicyConfig(kind=kind), budget=40, schedule=ScheduleSpec(steps=40))
+    cfg = tiny_cfg(policy=PolicyConfig(kind=kind), budget=40, schedule=NoiseSchedule(steps=40))
     res = run_episode(cfg, seed=3)
     assert len(res.records) == 36  # every location, then the candidates run out
     assert reads == list(range(36))
@@ -751,6 +751,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"scene": {"rows": 4, "colums": 4}}))
     with pytest.raises(ConfigError, match="scene.colums"):
         ExperimentConfig.from_json(path)
+    path.write_text(json.dumps({"schedule": {"alpha_bar": [1.0]}}))  # derived, not a setting
+    with pytest.raises(ConfigError, match="schedule.alpha_bar"):
+        ExperimentConfig.from_json(path)
 
 
 def test_config_missing_file():
@@ -770,8 +773,8 @@ def test_config_round_trip_of_every_non_default_section(tmp_path):
         tmp_path,
         scene=SceneSpec(kind="file", path=str(tmp_path / "scene.csv"), format="csv",
                         target="value>0.5", block=2, noise=(0.0, 0.05)),
-        schedule=ScheduleSpec(steps=40, beta_min=2e-4, beta_max=0.03, curve="cosine",
-                              sigma_mode="zero"),
+        schedule=NoiseSchedule(steps=40, beta_min=2e-4, beta_max=0.03, curve="cosine",
+                               sigma_mode="zero"),
         budget=5, particles=4, zeta=0.5, jacobian_mode="exact", sigma_x2=2.0,
         policy=PolicyConfig(kind="ucb", alpha=2.0, combine_mode="likeli",
                             normalize="none", tie_break="seeded_random", ucb_c=0.5,

@@ -169,9 +169,14 @@ def test_gen_scene_target_map_naming_the_config_exits_1(tmp_path, config_path, c
     ("gen-scene", ["--out", "missing/scene.csv"], "--out missing/scene.csv"),
     ("gen-scene", ["--out", "outdir"], "--out outdir"),
     ("gen-scene", ["--out", "scene.csv"], "--out's target map scene.target.csv"),
+    ("run", ["--out", "nodir/"], "--out nodir/ ends in a path separator"),
+    ("run", ["--out", "ep.csv", "--trace", "nodir/"], "--trace nodir/ ends in a path separator"),
+    ("suite", ["--out", "nodir/"], "--out nodir/ ends in a path separator"),
+    ("gen-scene", ["--out", "nodir/"], "--out nodir/ ends in a path separator"),
 ], ids=["run-missing", "run-dir", "run-trace-missing", "run-trace-dir", "scores-missing",
         "suite-missing", "suite-dir", "gen-scene-missing", "gen-scene-dir",
-        "gen-scene-target-map-dir"])
+        "gen-scene-target-map-dir", "run-trailing-slash", "run-trace-trailing-slash",
+        "suite-trailing-slash", "gen-scene-trailing-slash"])
 def test_unwritable_output_exits_1_before_any_work(tmp_path, config_path, capsys,
                                                    monkeypatch, command, flags, named):
     monkeypatch.chdir(tmp_path)
@@ -190,7 +195,7 @@ def test_unwritable_output_exits_1_before_any_work(tmp_path, config_path, capsys
     err = capsys.readouterr().err
     assert named in err
     assert started == []
-    assert not (tmp_path / "ep.csv").exists()
+    assert not (tmp_path / "ep.csv").exists() and not (tmp_path / "nodir").exists()
 
 
 def test_gen_scene_writes_the_scene_run_plays(tmp_path, config_path, monkeypatch):

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,6 @@ from gridseek.diffusion import (
     gmm_score,
     gmm_score_hessian,
     guidance_step,
-    make_schedule,
     tweedie_denoise,
 )
 import gridseek.bench
@@ -39,17 +40,17 @@ def random_prior(rng, dim, k):
 
 
 def test_single_step_schedule():
-    sched = make_schedule(1, 0.1, 0.1)
+    sched = NoiseSchedule(1, 0.1, 0.1)
     assert sched.alpha_bar[0] == pytest.approx(0.9, abs=0)
 
 
 def test_three_step_cumprod():
-    sched = make_schedule(3, 0.1, 0.1)
+    sched = NoiseSchedule(3, 0.1, 0.1)
     np.testing.assert_allclose(sched.alpha_bar, [0.9, 0.81, 0.729], rtol=0, atol=1e-15)
 
 
 def test_long_linear_schedule_matches_product_loop():
-    sched = make_schedule(1000, 1e-4, 0.02)
+    sched = NoiseSchedule(1000, 1e-4, 0.02)
     acc = 1.0
     for b in sched.beta:
         acc *= 1.0 - b
@@ -59,7 +60,7 @@ def test_long_linear_schedule_matches_product_loop():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=4096))
 def test_schedule_algebra_property(T):
-    sched = make_schedule(T, 1e-4, 0.02)
+    sched = NoiseSchedule(T, 1e-4, 0.02)
     assert np.all(sched.alpha == 1.0 - sched.beta)
     recomputed = np.cumprod(1.0 - sched.beta)
     np.testing.assert_allclose(sched.alpha_bar, recomputed, rtol=1e-12, atol=0)
@@ -70,7 +71,7 @@ def test_schedule_algebra_property(T):
 
 
 def test_cosine_schedule_valid():
-    sched = make_schedule(100, 1e-4, 0.999 - 1e-6, curve="cosine")
+    sched = NoiseSchedule(100, 1e-4, 0.999 - 1e-6, curve="cosine")
     assert np.all(sched.beta > 0) and np.all(sched.beta < 1)
     assert np.all(np.diff(sched.alpha_bar) < 0)
 
@@ -78,22 +79,24 @@ def test_cosine_schedule_valid():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(T=0),
-        dict(T=5, beta_min=0.0),
-        dict(T=5, beta_min=0.3, beta_max=0.2),
-        dict(T=5, beta_max=1.0),
-        dict(T=5, curve="geometric"),
-        dict(T=5, beta_min=1e-300),
-        dict(T=5, sigma_mode="prior"),
+        dict(steps=0),
+        dict(steps=5, beta_min=0.0),
+        dict(steps=5, beta_min=0.3, beta_max=0.2),
+        dict(steps=5, beta_max=1.0),
+        dict(steps=5, curve="geometric"),
+        dict(steps=5, beta_min=1e-300),
+        dict(steps=5, sigma_mode="prior"),
+        dict(steps=5, beta_min=math.nan),
+        dict(steps=5, beta_max=math.nan),
     ],
 )
 def test_schedule_rejects_bad_ranges(kwargs):
     with pytest.raises(ScheduleError):
-        make_schedule(**{"beta_min": 1e-4, "beta_max": 0.02, **kwargs})
+        NoiseSchedule(**kwargs)
 
 
 def test_zero_sigma_mode():
-    sched = make_schedule(10, sigma_mode="zero")
+    sched = NoiseSchedule(10, sigma_mode="zero")
     assert np.all(sched.sigma_tilde == 0.0)
 
 
@@ -114,27 +117,26 @@ def test_schedule_derives_the_arrays_it_was_once_handed(curve, sigma_mode):
         sigma_tilde = np.sqrt(beta * (1.0 - prev) / (1.0 - alpha_bar))
     else:
         sigma_tilde = np.zeros(T)
-    sched = make_schedule(T, beta_min, beta_max, curve, sigma_mode)
-    assert sched.T == T and type(sched.T) is int
+    sched = NoiseSchedule(T, beta_min, beta_max, curve, sigma_mode)
     for got, want in ((sched.beta, beta), (sched.alpha, alpha), (sched.alpha_bar, alpha_bar),
                       (sched.sigma_tilde, sigma_tilde)):
         assert np.array_equal(got, want)
 
 
-def test_schedule_takes_only_beta_and_sigma_mode():
-    """Arrays that contradict beta (alpha is not 1 - beta) have nowhere to go."""
+def test_schedule_takes_only_its_five_settings():
+    """The arrays derive from the settings: they are no fields, so they cannot contradict them."""
+    names = [f.name for f in dataclasses.fields(NoiseSchedule)]
+    assert names == ["steps", "beta_min", "beta_max", "curve", "sigma_mode"]
     with pytest.raises(TypeError):
-        NoiseSchedule(T=2, beta=np.array([0.1, 0.2]), alpha=np.array([0.5, 0.5]),
-                      alpha_bar=np.array([0.99, 0.98]), sigma_tilde=np.array([0.0, 3.0]))
-    with pytest.raises(TypeError):
-        NoiseSchedule(np.array([0.1, 0.2]), alpha=np.array([0.5, 0.5]))
-
-
-@pytest.mark.parametrize("beta", [np.zeros((2, 2)) + 0.1, np.zeros(0), np.array([0.1, np.nan])],
-                         ids=["2-D", "empty", "nan"])
-def test_schedule_refuses_a_beta_it_cannot_derive_from(beta):
-    with pytest.raises(ScheduleError):
-        NoiseSchedule(beta)
+        NoiseSchedule(2, alpha=np.array([0.5, 0.5]))
+    sched = NoiseSchedule(40, 2e-4, 0.03, "cosine", "zero")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.alpha_bar = np.ones(40)
+    back = pickle.loads(pickle.dumps(sched))
+    assert back == sched and hash(back) == hash(sched) and back != NoiseSchedule(40)
+    for name in ("beta", "alpha", "alpha_bar", "sigma_tilde"):
+        assert np.array_equal(getattr(back, name), getattr(sched, name))
+    assert NoiseSchedule() == NoiseSchedule(200, 1e-4, 0.02, "linear", "posterior")
 
 
 # ------------------------------------------------------------------- scores
@@ -143,7 +145,7 @@ def test_schedule_refuses_a_beta_it_cannot_derive_from(beta):
 def test_standard_normal_prior_score_is_negative_x():
     # the marginal of N(0, 1) stays N(0, 1) at every noise level
     prior = GaussianMixturePrior.single([0.0], 1.0)
-    sched = make_schedule(50)
+    sched = NoiseSchedule(50)
     x = np.array([1.7])
     for tau in (1, 25, 50):
         np.testing.assert_allclose(gmm_score(x, tau, prior, sched), -x, atol=1e-12)
@@ -152,7 +154,7 @@ def test_standard_normal_prior_score_is_negative_x():
 def test_point_mass_prior_score():
     mu = 0.8
     prior = GaussianMixturePrior.single([mu], 0.0)
-    sched = make_schedule(20)
+    sched = NoiseSchedule(20)
     tau = 7
     abar = sched.alpha_bar[tau - 1]
     x = np.array([-0.3])
@@ -177,7 +179,7 @@ def test_two_component_score_matches_finite_difference():
     prior = GaussianMixturePrior(
         np.array([0.4, 0.6]), np.array([[-1.0], [2.0]]), np.array([0.5, 0.2])
     )
-    sched = make_schedule(100)
+    sched = NoiseSchedule(100)
     for _ in range(10):
         x = rng.normal(0.0, 2.0, 1)
         tau = int(rng.integers(1, 101))
@@ -188,7 +190,7 @@ def test_two_component_score_matches_finite_difference():
 
 def test_score_fd_property_random_mixtures():
     rng = np.random.default_rng(11)
-    sched = make_schedule(200)
+    sched = NoiseSchedule(200)
     for _ in range(100):
         dim = int(rng.integers(1, 9))
         k = int(rng.integers(1, 6))
@@ -203,7 +205,7 @@ def test_score_fd_property_random_mixtures():
 def test_score_batched_matches_single():
     rng = np.random.default_rng(5)
     prior = random_prior(rng, 4, 3)
-    sched = make_schedule(30)
+    sched = NoiseSchedule(30)
     xs = rng.normal(size=(6, 4))
     batched = gmm_score(xs, 9, prior, sched)
     for i, x in enumerate(xs):
@@ -212,7 +214,7 @@ def test_score_batched_matches_single():
 
 def test_score_dimension_mismatch():
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
-    sched = make_schedule(5)
+    sched = NoiseSchedule(5)
     with pytest.raises(ValueError):
         gmm_score(np.zeros(3), 1, prior, sched)
 
@@ -264,7 +266,7 @@ def dense_score_hessian(x, tau, prior, sched):
 def test_hessian_matches_score_finite_difference():
     rng = np.random.default_rng(7)
     prior = random_prior(rng, 3, 3)
-    sched = make_schedule(40)
+    sched = NoiseSchedule(40)
     x = rng.normal(size=3)
     tau = 13
     hess = dense_score_hessian(x, tau, prior, sched)
@@ -282,8 +284,8 @@ def mixture_case(case):
     batch = {"single": (), "batch-4": (4,), "batch-2x3": (2, 3)}.get(case, (4,))
     n, k = 7, 1 if case == "one-component" else 4
     prior = random_prior(rng, n, k)
-    sched = make_schedule(40)
-    tau = int(rng.integers(1, sched.T + 1))
+    sched = NoiseSchedule(40)
+    tau = int(rng.integers(1, sched.steps + 1))
     x, v = rng.normal(size=(*batch, n)), rng.normal(size=(*batch, n))
     if case == "tight-component":  # at tau = 1 its marginal variance is about 1e-4
         prior = GaussianMixturePrior(prior.weights, prior.means,
@@ -337,7 +339,7 @@ def test_gram_form_log_density_matches_difference_oracle(case):
 def test_gram_form_density_on_a_mean_stays_at_its_peak():
     """||x||^2 - 2 x.m + ||m||^2 can round below 0 on a mean; the density must stay at its peak."""
     rng = np.random.default_rng(29)
-    sched = make_schedule(40)
+    sched = NoiseSchedule(40)
     for _ in range(20):
         prior = GaussianMixturePrior.single(rng.normal(size=256), 1e-6)
         x = math.sqrt(sched.alpha_bar[0]) * prior.means[0]
@@ -349,7 +351,7 @@ def test_mixture_kernels_allocate_no_component_by_cell_tensor(kernel):
     """At (16, 1024) with K = 32 a (..., K, N) tensor is 4 MiB; each kernel stays under 1 MiB."""
     rng = np.random.default_rng(23)
     prior = random_prior(rng, 1024, 32)
-    sched = make_schedule(40)
+    sched = NoiseSchedule(40)
     x, v = rng.normal(size=(2, 16, 1024))
     call = {"score": lambda: gmm_score(x, 9, prior, sched),
             "hessian": lambda: gmm_score_hessian(x, 9, prior, sched, v)}[kernel]
@@ -404,7 +406,7 @@ def test_hessian_vector_product_is_symmetric(case):
 def test_hessian_vector_product_matches_score_finite_difference():
     rng = np.random.default_rng(17)
     prior = random_prior(rng, 5, 3)
-    sched = make_schedule(40)
+    sched = NoiseSchedule(40)
     tau = 13
     x, v = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
     h = 1e-5
@@ -426,7 +428,7 @@ def test_shared_terms_product_is_the_hessian_product_bit_for_bit(case):
 def test_step_terms_flush_subnormal_responsibilities():
     """A responsibility below the smallest normal float is set to 0 before normalising."""
     prior = GaussianMixturePrior(np.array([0.5, 0.5]), np.array([[0.0], [40.0]]), np.ones(2))
-    sched = make_schedule(1, 0.1, 0.1)
+    sched = NoiseSchedule(1, 0.1, 0.1)
     x = np.zeros((1, 1))
     log_terms, _, _ = _component_log_terms(x, 1, prior, sched)
     assert 0.0 < math.exp(log_terms[0, 1] - log_terms[0, 0]) < np.finfo(float).tiny
@@ -438,7 +440,7 @@ def test_step_terms_flush_subnormal_responsibilities():
 def test_step_invariant_kernels_match_difference_form_at_wide32_shape(tau):
     """n_b 16, K 32, N 1024, the 32x32 benchmark's prior: score and product within 1e-12."""
     prior = make_blob_prior((32, 32), n_components=32).affine(2.0, -1.0)
-    sched = make_schedule(200)
+    sched = NoiseSchedule(200)
     rng = np.random.default_rng(tau)
     abar = sched.alpha_bar[tau - 1]
     x = (math.sqrt(abar) * prior.means[rng.integers(0, 32, 16)]
@@ -479,7 +481,7 @@ def step_case(shape, k, n_b, tau, share, seed=0):
     """A prior in sampler space, particles near the step-tau marginal, a partly revealed scene."""
     rng = np.random.default_rng(seed)
     prior = make_blob_prior(shape, n_components=k).affine(2.0, -1.0)
-    sched = make_schedule(200)
+    sched = NoiseSchedule(200)
     n = prior.dimension
     observed = np.zeros(n, dtype=bool)
     observed[rng.permutation(n)[:round(share * n)]] = True
@@ -605,7 +607,7 @@ def test_one_component_trajectory_follows_the_affine_recursion(mode, dtype, tol)
     prior = make_blob_prior((8, 8), n_components=1).affine(2.0, -1.0)
     mu, v = prior.means[0], prior.variances[0]
     assert v == pytest.approx(0.0064)
-    sched, cfg = make_schedule(200), GuidanceConfig(1.0, mode)
+    sched, cfg = NoiseSchedule(200), GuidanceConfig(1.0, mode)
     rng = np.random.default_rng(0)
     n = prior.dimension
     observed = np.zeros(n, dtype=bool)
@@ -613,7 +615,7 @@ def test_one_component_trajectory_follows_the_affine_recursion(mode, dtype, tol)
     values = np.where(observed, rng.uniform(-1.0, 1.0, n), 0.0)
     want, z = rng.standard_normal((2, 4, n)).astype(dtype)
     x, want, step_prior = want, want.astype(float), prior.astype(dtype)
-    for tau in range(sched.T, 0, -1):
+    for tau in range(sched.steps, 0, -1):
         x, _ = reverse_step(x, tau, z, observed, values, step_prior, cfg, sched)
         assert x.dtype == dtype
         want = one_component_affine_step(want, tau, z.astype(float), observed, values, mu, v,
@@ -629,7 +631,7 @@ def make_score_fn(prior, sched):
 
 
 def test_tweedie_identity_at_negligible_noise():
-    sched = NoiseSchedule(np.full(1, 1e-15), sigma_mode="zero")
+    sched = NoiseSchedule(1, 1e-15, 1e-15, sigma_mode="zero")
     prior = GaussianMixturePrior.single([0.4], 1.0)
     x = np.array([0.9])
     np.testing.assert_allclose(
@@ -639,7 +641,7 @@ def test_tweedie_identity_at_negligible_noise():
 
 def test_tweedie_standard_normal_prior():
     prior = GaussianMixturePrior.single([0.0], 1.0)
-    sched = make_schedule(64)
+    sched = NoiseSchedule(64)
     rng = np.random.default_rng(2)
     score_fn = make_score_fn(prior, sched)
     for tau in (1, 13, 64):
@@ -653,7 +655,7 @@ def test_tweedie_standard_normal_prior():
 def test_tweedie_point_mass_prior():
     mu = np.array([0.25, -0.5])
     prior = GaussianMixturePrior.single(mu, 0.0)
-    sched = make_schedule(32)
+    sched = NoiseSchedule(32)
     score_fn = make_score_fn(prior, sched)
     for x in (np.array([3.0, -3.0]), np.array([0.0, 0.0])):
         np.testing.assert_allclose(
@@ -668,7 +670,7 @@ def closed_form_posterior_mean(x, abar, mu, v):
 
 def test_tweedie_gaussian_oracle_all_steps():
     rng = np.random.default_rng(9)
-    sched = make_schedule(50)
+    sched = NoiseSchedule(50)
     for _ in range(20):
         mu, v = rng.normal(), rng.uniform(0.05, 2.0)
         prior = GaussianMixturePrior.single([mu], v)
@@ -686,7 +688,7 @@ def test_tweedie_gaussian_oracle_all_steps_in_float32():
     The worst error measured was 1.9e-7, for values of order 1.
     """
     rng = np.random.default_rng(9)
-    sched = make_schedule(50)
+    sched = NoiseSchedule(50)
     for _ in range(20):
         mu, v = rng.normal(), rng.uniform(0.05, 2.0)
         score_fn = make_score_fn(GaussianMixturePrior.single([mu], v).astype(np.float32), sched)
@@ -702,7 +704,8 @@ def test_tweedie_gaussian_oracle_all_steps_in_float32():
 
 
 def test_ancestral_hand_evaluated_two_step_schedule():
-    sched = NoiseSchedule(np.array([0.1, 0.2]), sigma_mode="zero")
+    sched = NoiseSchedule(2, 0.1, 0.2, sigma_mode="zero")
+    assert np.array_equal(sched.beta, [0.1, 0.2])
     x = np.array([1.0])
     # tau=2: abar_1 = 0.9, abar_2 = 0.72
     coef_x = math.sqrt(0.8) * (1.0 - 0.9) / (1.0 - 0.72)
@@ -712,8 +715,8 @@ def test_ancestral_hand_evaluated_two_step_schedule():
 
 
 def test_ancestral_zero_draw_ignores_sigma():
-    sched_a = make_schedule(8, sigma_mode="posterior")
-    sched_b = make_schedule(8, sigma_mode="zero")
+    sched_a = NoiseSchedule(8, sigma_mode="posterior")
+    sched_b = NoiseSchedule(8, sigma_mode="zero")
     x = np.array([0.3, -0.7])
     xh = np.array([0.1, 0.2])
     np.testing.assert_array_equal(
@@ -723,7 +726,7 @@ def test_ancestral_zero_draw_ignores_sigma():
 
 
 def test_ancestral_final_step_boundary():
-    sched = make_schedule(4)
+    sched = NoiseSchedule(4)
     x = np.array([2.0])
     xh = np.array([-1.0])
     z = np.array([0.6])
@@ -744,7 +747,7 @@ def as_mask(cells, values, n):
 
 
 def test_guidance_noop_without_observations():
-    sched = make_schedule(10)
+    sched = NoiseSchedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
@@ -756,7 +759,7 @@ def test_guidance_noop_without_observations():
 
 
 def test_guidance_noop_with_zero_zeta():
-    sched = make_schedule(10)
+    sched = NoiseSchedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     xp, x_tau = np.array([0.5, -0.5]), np.array([1.0, 1.0])
     x_hat = tweedie_denoise(x_tau, 4, make_score_fn(prior, sched), sched)
@@ -769,7 +772,7 @@ def test_guidance_noop_with_zero_zeta():
 
 def test_guidance_scaled_identity_gradient_formula():
     prior = GaussianMixturePrior.single([0.0], 1.0)
-    sched = make_schedule(30)
+    sched = NoiseSchedule(30)
     tau = 11
     abar = sched.alpha_bar[tau - 1]
     x_obs = 0.4
@@ -788,7 +791,7 @@ def test_guidance_scaled_identity_gradient_formula():
 def test_guidance_exact_mode_matches_residual_finite_difference():
     rng = np.random.default_rng(21)
     prior = random_prior(rng, 3, 2)
-    sched = make_schedule(25)
+    sched = NoiseSchedule(25)
     tau = 9
     cells, values = np.array([0, 2]), np.array([0.3, -0.6])
     observed, dense = as_mask(cells, values, 3)
@@ -816,7 +819,7 @@ def test_guidance_exact_mode_matches_residual_finite_difference():
 
 
 def test_guidance_rejects_out_of_range_location():
-    sched = make_schedule(10)
+    sched = NoiseSchedule(10)
     prior = GaussianMixturePrior.single([0.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="shape"):
         x_hat = tweedie_denoise(np.zeros(2), 3, make_score_fn(prior, sched), sched)
@@ -842,7 +845,7 @@ def test_guidance_mask_form_matches_index_form(mode):
     rng = np.random.default_rng(8)
     n = 9
     prior = random_prior(rng, n, 3)
-    sched = make_schedule(40)
+    sched = NoiseSchedule(40)
     score_fn = make_score_fn(prior, sched)
     hess_fn = lambda v: gmm_score_hessian(x_tau, tau, prior, sched, v)  # this pass's x_tau, tau
     cfg = GuidanceConfig(zeta=0.4, jacobian_mode=mode)
@@ -850,7 +853,7 @@ def test_guidance_mask_form_matches_index_form(mode):
         cells = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)  # any order
         values = rng.uniform(-1.0, 1.0, cells.size)
         observed, dense = as_mask(cells, values, n)
-        tau = int(rng.integers(1, sched.T + 1))
+        tau = int(rng.integers(1, sched.steps + 1))
         x_tau, xp = rng.normal(size=(*batch, n)), rng.normal(size=(*batch, n))
         xh = tweedie_denoise(x_tau, tau, score_fn, sched)
         got = guidance_step(xp, xh, observed, dense, tau, cfg, sched, hess_fn)
@@ -860,7 +863,7 @@ def test_guidance_mask_form_matches_index_form(mode):
 
 def test_exact_guidance_applies_one_product_to_the_whole_batch():
     rng = np.random.default_rng(5)
-    prior, sched, tau = random_prior(rng, 6, 3), make_schedule(30), 11
+    prior, sched, tau = random_prior(rng, 6, 3), NoiseSchedule(30), 11
     calls = []
 
     def hess_fn(v):
@@ -887,7 +890,7 @@ def run_mini_sampler(seed, zeta, prior, scene, sched, n_particles=4):
     x = np.stack([r.standard_normal(dim) for r in rngs])
     cfg = GuidanceConfig(zeta=zeta)
     score_fn = make_score_fn(prior, sched)
-    for tau in range(sched.T, 0, -1):
+    for tau in range(sched.steps, 0, -1):
         xh = tweedie_denoise(x, tau, score_fn, sched)
         z = np.stack([r.standard_normal(dim) for r in rngs])
         xp = ancestral_step(x, xh, tau, z, sched)
@@ -901,7 +904,7 @@ def test_full_observation_guidance_contracts_mse():
     dim = 16
     means = np.stack([rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)])
     prior = GaussianMixturePrior(np.array([0.5, 0.5]), means, np.array([0.01, 0.01]))
-    sched = make_schedule(60, 1e-4, 0.05)
+    sched = NoiseSchedule(60, 1e-4, 0.05)
     diffs = []
     for seed in range(20):
         scene = prior.sample(np.random.default_rng(10_000 + seed))
@@ -917,7 +920,7 @@ def test_full_observation_guidance_contracts_mse():
 def test_trajectories_bit_identical_for_same_seed():
     rng = np.random.default_rng(55)
     prior = random_prior(rng, 6, 2)
-    sched = make_schedule(30)
+    sched = NoiseSchedule(30)
     scene = prior.sample(np.random.default_rng(1))
     a = run_mini_sampler(42, 0.5, prior, scene, sched)
     b = run_mini_sampler(42, 0.5, prior, scene, sched)

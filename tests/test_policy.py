@@ -40,6 +40,13 @@ def make_field(expl, exploit, likeli=None, locations=None):
     )
 
 
+def pick_candidate(cfg, state, rng):
+    """A belief-blind kind's pick from a flat score field over ``state.candidates``."""
+    n = state.candidates.size
+    field = make_field(np.zeros(n), np.zeros(n), locations=state.candidates.tolist())
+    return state.candidates[select_from_field(cfg, state, field, rng)]
+
+
 # -------------------------------------------------------------------- kappa
 
 
@@ -180,8 +187,7 @@ def test_random_policy_matches_duplicate_rng_oracle():
     state = fresh_state()
     leave_candidates(state, [3, 5, 8, 12])
     for seed in range(10):
-        got = state.candidates[select_from_field(PolicyConfig(kind="random"), state, None,
-                                                 np.random.default_rng(seed))]
+        got = pick_candidate(PolicyConfig(kind="random"), state, np.random.default_rng(seed))
         oracle = state.candidates[int(np.random.default_rng(seed).integers(4))]
         assert got == oracle
 
@@ -190,8 +196,7 @@ def test_exhausted_candidates_error():
     state = fresh_state()
     leave_candidates(state, [])
     with pytest.raises(ExhaustedCandidatesError):
-        select_from_field(PolicyConfig(kind="random"), state, None,
-                          np.random.default_rng(0))
+        pick_candidate(PolicyConfig(kind="random"), state, np.random.default_rng(0))
 
 
 def test_greedy_adaptive_follows_exploitation():
@@ -302,7 +307,7 @@ def test_ucb_prefers_rewarding_neighborhood():
     state = strip_state()
     # candidate 1 sees only y=0, candidate 2 sees only y=1
     cfg = PolicyConfig(kind="ucb", ucb_c=0.1)
-    got = state.candidates[select_from_field(cfg, state, None, np.random.default_rng(1))]
+    got = pick_candidate(cfg, state, np.random.default_rng(1))
     assert got == 2
 
 
@@ -312,7 +317,7 @@ def test_ucb_bonus_draws_unvisited_regions():
     m = measure(state.scene, 15, rng)
     state.apply(m, m.content)
     cfg = PolicyConfig(kind="ucb", ucb_c=100.0)
-    got = state.candidates[select_from_field(cfg, state, None, np.random.default_rng(1))]
+    got = pick_candidate(cfg, state, np.random.default_rng(1))
     # with a huge bonus the pick must be outside the measured neighborhood
     assert got not in (10, 11, 14, 15)
 
@@ -320,7 +325,7 @@ def test_ucb_bonus_draws_unvisited_regions():
 def test_eps_greedy_exploits_when_epsilon_zero():
     state = strip_state()
     cfg = PolicyConfig(kind="eps_greedy", epsilon=0.0)
-    got = state.candidates[select_from_field(cfg, state, None, np.random.default_rng(2))]
+    got = pick_candidate(cfg, state, np.random.default_rng(2))
     assert got == 2
 
 
@@ -328,7 +333,7 @@ def test_eps_greedy_uniform_when_epsilon_one():
     state = fresh_state(budget=8)
     cfg = PolicyConfig(kind="eps_greedy", epsilon=1.0)
     seen = {
-        state.candidates[select_from_field(cfg, state, None, np.random.default_rng(s))]
+        pick_candidate(cfg, state, np.random.default_rng(s))
         for s in range(60)
     }
     assert len(seen) > 8  # spread over the grid, not locked to one argmax
@@ -348,12 +353,6 @@ def test_selection_with_a_field_picks_a_row_of_its_locations(monkeypatch):
     for seed in range(10):
         got = select_from_field(PolicyConfig(kind="random"), state, f, np.random.default_rng(seed))
         assert got == np.random.default_rng(seed).integers(2)
-
-
-@pytest.mark.parametrize("kind", ["diffatd", "max_ent", "greedy_adaptive"])
-def test_belief_kinds_need_a_score_field(kind):
-    with pytest.raises(ValueError, match=f"{kind} needs a score field"):
-        select_from_field(PolicyConfig(kind=kind), fresh_state(), None, np.random.default_rng(0))
 
 
 def neighborhood_by_loop(state):
@@ -591,7 +590,7 @@ def test_no_remeasurement_within_episode():
     picked = []
     cfg = PolicyConfig(kind="random")
     while state.candidates.size:
-        loc = int(state.candidates[select_from_field(cfg, state, None, rng)])
+        loc = int(pick_candidate(cfg, state, rng))
         assert loc not in picked
         picked.append(loc)
         m = measure(state.scene, loc, rng)

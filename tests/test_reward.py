@@ -40,13 +40,13 @@ def test_zero_parameters_predict_half():
         w[:] = 0.0
     for b in net.biases:
         b[:] = 0.0
-    assert predict(net, np.zeros(3)) == pytest.approx(0.5)
+    assert predict(net, np.zeros(3)[None, :])[0] == pytest.approx(0.5)
 
 
 def test_hand_set_single_layer():
     net = RewardNet(weights=[np.array([[1.0]])], biases=[np.zeros(1)])
-    assert predict(net, np.array([0.0])) == pytest.approx(0.5)
-    assert predict(net, np.array([2.0])) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
+    assert predict(net, np.array([0.0])[None, :])[0] == pytest.approx(0.5)
+    assert predict(net, np.array([2.0])[None, :])[0] == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
 
 
 def straight_line_forward(net, x):
@@ -70,7 +70,8 @@ def test_forward_matches_independent_evaluator():
     net = RewardNet.create([4, 6, 3, 1], seed=9)
     for _ in range(10):
         x = rng.normal(size=4)
-        assert predict(net, x) == pytest.approx(straight_line_forward(net, x), abs=1e-12)
+        got = predict(net, x[None, :])[0]
+        assert got == pytest.approx(straight_line_forward(net, x), abs=1e-12)
 
 
 def test_predict_batch_matches_scalar():
@@ -78,7 +79,7 @@ def test_predict_batch_matches_scalar():
     X = np.random.default_rng(0).normal(size=(7, 2))
     batch = predict(net, X)
     for i in range(7):
-        assert batch[i] == pytest.approx(predict(net, X[i]))
+        assert batch[i] == pytest.approx(predict(net, X[i][None, :])[0])
 
 
 @pytest.mark.parametrize("rows", [1, 2, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1,
@@ -98,20 +99,20 @@ def test_blocked_predict_is_bit_identical_to_full_forward(layout, rows):
 def test_predict_output_in_open_interval():
     net = RewardNet.create([1, 8, 1], seed=1)
     for v in (-50.0, 0.0, 50.0):
-        p = predict(net, np.array([v]))
+        p = predict(net, np.array([v])[None, :])[0]
         assert 0.0 < p < 1.0
 
 
 def test_predict_dimension_mismatch():
     net = RewardNet.create([2, 3, 1], seed=0)
     with pytest.raises(ValueError):
-        predict(net, np.zeros(5))
+        predict(net, np.zeros(5)[None, :])
 
 
 def test_net_reads_its_input_width_from_its_first_weights():
     net = RewardNet(weights=[np.array([[2.0]])], biases=[np.zeros(1)])
     with pytest.raises(ValueError, match="patch dimension 3 does not match net input 1"):
-        predict(net, np.array([1.0, 5.0, -7.0]))
+        predict(net, np.array([1.0, 5.0, -7.0])[None, :])
     with pytest.raises(TypeError):
         RewardNet(sizes=[3, 1], weights=[np.array([[2.0]])], biases=[np.zeros(1)])
 
